@@ -34,11 +34,12 @@ _DEFAULT_CONFIG = {
     "theta": math.pi,
     "epsilon": 0.0,
     "engine": "fast",
-    "seed": 1,
     "stop": {"threshold": 0.99},
 }
 
 _KNOWN_KEYS = set(_DEFAULT_CONFIG) | {"grid"}
+
+MAX_GRID_POINTS = 10_000
 
 
 class ConfigError(Exception):
@@ -85,7 +86,7 @@ def build_initial(config: dict) -> GhzDiagonalEnsemble:
                                          canonical_label(rep, sign), n)
         if kind == "bitflip":
             return build_bitflip_ensemble([float(w) for w in init["weights"]], n)
-    except (KeyError, ValueError) as err:
+    except (LookupError, TypeError, ValueError) as err:
         raise ConfigError(f"field 'initial': {err}")
     raise ConfigError(f"initial.type must be werner|binary|bitflip, got {kind!r}")
 
@@ -93,14 +94,17 @@ def build_initial(config: dict) -> GhzDiagonalEnsemble:
 def build_schedule(config: dict) -> Schedule:
     try:
         steps = tuple(StepKind(s) for s in config["schedule"])
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"field 'schedule': {err}")
     try:
         mode = DiscriminationMode(ModeKind(config["mode"]),
                                   float(config["epsilon"]),
                                   float(config["theta"]))
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"field 'mode'/'theta'/'epsilon': {err}")
+    if mode.misclassification_probability != 0.0:
+        raise ConfigError("epsilon must be 0: the fast and exact engines "
+                          "model ideal parity readout")
     stop = config["stop"]
     if not isinstance(stop, dict) or set(stop) not in ({"rounds"}, {"threshold"}):
         raise ConfigError("field 'stop' must be {\"rounds\": k} or {\"threshold\": f}")
@@ -108,7 +112,7 @@ def build_schedule(config: dict) -> Schedule:
         return Schedule(steps, mode,
                         stop_rounds=stop.get("rounds"),
                         stop_threshold=stop.get("threshold"))
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"field 'stop'/'schedule': {err}")
 
 
@@ -126,7 +130,10 @@ def _check_bounds(config: dict):
 
 def _outdir(args) -> Path:
     path = Path(args.outdir or os.environ.get("GHZPURIFY_OUTDIR") or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory: {err}")
     return path
 
 
@@ -162,7 +169,6 @@ def _common_flags(parser):
     parser.add_argument("--theta", type=float)
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--engine", choices=["fast", "exact"])
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--threshold", type=float)
     parser.add_argument("--rounds", type=int)
     parser.add_argument("--x", type=float, help="Werner parameter")
@@ -171,7 +177,7 @@ def _common_flags(parser):
 
 def _overrides_from(args) -> dict:
     overrides = {k: getattr(args, k) for k in
-                 ("n_qubits", "mode", "theta", "epsilon", "engine", "seed")}
+                 ("n_qubits", "mode", "theta", "epsilon", "engine")}
     if args.schedule is not None:
         overrides["schedule"] = args.schedule.split(",")
     if args.threshold is not None:
@@ -189,8 +195,12 @@ def _parse_grid(text: str) -> list[float]:
     # Either "start:stop:step" or a comma-separated list.
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
+        if not step > 0.0:
+            raise ConfigError(f"grid step must be positive, got {step}")
         values, v = [], start
         while v <= stop + 1e-12:
+            if len(values) == MAX_GRID_POINTS:
+                raise ConfigError(f"grid expands to more than {MAX_GRID_POINTS} points")
             values.append(round(v, 12))
             v += step
         return values
@@ -223,8 +233,10 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config, overrides)
     _check_bounds(config)
     grid = config.get("grid")
-    if not isinstance(grid, dict) or not grid.get("values"):
-        raise ConfigError("sweep needs a nonempty grid "
+    values = grid.get("values") if isinstance(grid, dict) else None
+    if not (isinstance(values, list) and values
+            and all(type(v) in (int, float) for v in values)):
+        raise ConfigError("sweep needs a nonempty grid of numbers "
                           "({\"param\": \"x\"|\"F\", \"values\": [...]})")
     sched = build_schedule(config)
     try:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ghz import (MAX_QUBITS_EXACT, GhzDiagonalEnsemble, all_labels,
-                  ghz_basis_matrix, ghz_label_to_state, hadamard_matrix,
-                  target_label)
+from .ghz import (MAX_QUBITS_EXACT, GhzDiagonalEnsemble, ghz_basis_matrix,
+                  ghz_label_to_state, hadamard_matrix, target_label)
 from .optics import DiscriminationMode, ModeKind
 from .purify import StepKind, correction_for_outcome
 
@@ -146,7 +145,7 @@ def ghz_diagonal_extract(rho: np.ndarray) -> tuple[GhzDiagonalEnsemble, float]:
     residual = float(np.linalg.norm(in_basis - np.diag(diag)))
     diag = np.clip(diag, 0.0, None)
     diag /= diag.sum()
-    ens = GhzDiagonalEnsemble(n, dict(zip(all_labels(n), diag)))
+    ens = GhzDiagonalEnsemble(n, diag.reshape(-1, 2).T)   # all_labels(n) order
     return ens, residual
 
 

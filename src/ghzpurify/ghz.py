@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -82,29 +83,46 @@ def ghz_label_to_state(label: GhzLabel, n: int) -> np.ndarray:
 
 
 class GhzDiagonalEnsemble:
-    """Probability weights over the 2^n GHZ basis states."""
+    """Probability weights over the 2^n GHZ basis states, held in one array W
+    of shape (2, 2^(n-1)): label (rep, sign) sits at W[(1 - sign) // 2,
+    int(rep, 2)].  Takes W or a dict keyed by GhzLabel; never renormalizes."""
 
-    def __init__(self, n_qubits: int, weights: dict[GhzLabel, float]):
+    def __init__(self, n_qubits: int, weights):
         if n_qubits < 2:
             raise ValueError("need at least 2 qubits")
         if n_qubits > MAX_QUBITS_FAST:
             raise ValueError(f"fast engine is bounded at {MAX_QUBITS_FAST} qubits")
-        clean: dict[GhzLabel, float] = {}
-        for label, w in weights.items():
-            if label.n_qubits != n_qubits:
-                raise ValueError(f"label {label} does not match n_qubits={n_qubits}")
-            if w < -1e-10:
-                raise ValueError(f"negative weight {w} for {label}")
-            if w > 0.0:
-                clean[label] = float(w)
-        total = sum(clean.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {total}, expected 1")
+        shape = (2, 1 << (n_qubits - 1))
+        if isinstance(weights, dict):
+            W = np.zeros(shape)
+            for label, w in weights.items():
+                if label.n_qubits != n_qubits:
+                    raise ValueError(f"label {label} does not match n_qubits={n_qubits}")
+                W[(1 - label.sign) // 2, int(label.rep, 2)] = w
+        else:
+            W = np.asarray(weights, dtype=float)
+            if W.shape != shape:
+                raise ValueError(f"weight array has shape {W.shape}, expected {shape}")
+        if not (W >= -1e-10).all():
+            raise ValueError(f"weights must be >= -1e-10 and not NaN, got {W.min()}")
+        W = np.where(W > 0.0, W, 0.0)
+        if abs(W.sum() - 1.0) > 1e-9:
+            raise ValueError(f"weights sum to {W.sum()}, expected 1")
+        W.flags.writeable = False
         self.n_qubits = n_qubits
-        self.weights = clean
+        self.W = W
+
+    @property
+    def weights(self) -> MappingProxyType:
+        """Read-only mapping of the nonzero weights keyed by GhzLabel."""
+        flat = self.W.T.ravel().tolist()   # all_labels order
+        return MappingProxyType({label: w for label, w in
+                                 zip(all_labels(self.n_qubits), flat) if w > 0.0})
 
     def weight(self, label: GhzLabel) -> float:
-        return self.weights.get(label, 0.0)
+        if label.n_qubits != self.n_qubits:
+            return 0.0
+        return float(self.W[(1 - label.sign) // 2, int(label.rep, 2)])
 
     def items(self):
         return self.weights.items()
@@ -115,7 +133,7 @@ class GhzDiagonalEnsemble:
 
 def ensemble_fidelity(ens: GhzDiagonalEnsemble) -> float:
     """Weight of the target state (all-zero rep, sign +1)."""
-    return ens.weight(target_label(ens.n_qubits))
+    return float(ens.W[0, 0])
 
 
 def build_binary_ensemble(F: float, error_label: GhzLabel, n: int) -> GhzDiagonalEnsemble:
@@ -140,31 +158,33 @@ def build_bitflip_ensemble(weights, n: int) -> GhzDiagonalEnsemble:
         raise ValueError(f"need {n + 1} weights for n={n}, got {len(weights)}")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    out: dict[GhzLabel, float] = {target_label(n): weights[0]}
+    W = np.zeros((2, 1 << (n - 1)))
+    W[0, 0] = weights[0]
     for i in range(1, n + 1):
-        bits = "".join("1" if j == i - 1 else "0" for j in range(n))
-        label = canonical_label(bits, +1)
-        out[label] = out.get(label, 0.0) + weights[i]
-    return GhzDiagonalEnsemble(n, out)
+        flip = 1 << (n - i)   # qubit 1 is the most significant bit
+        W[0, min(flip, flip ^ ((1 << n) - 1))] += weights[i]
+    return GhzDiagonalEnsemble(n, W)
 
 
 def build_werner(x: float, n: int) -> GhzDiagonalEnsemble:
     """x |phi+><phi+| + (1-x) I/2^n, expressed in the (complete) GHZ basis."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0, 1], got {x}")
-    uniform = (1.0 - x) / (1 << n)
-    weights = {label: uniform for label in all_labels(n)}
-    weights[target_label(n)] += x
-    return GhzDiagonalEnsemble(n, weights)
+    W = np.full((2, 1 << (n - 1)), (1.0 - x) / (1 << n))
+    W[0, 0] += x
+    return GhzDiagonalEnsemble(n, W)
 
 
 def ensemble_to_density(ens: GhzDiagonalEnsemble) -> np.ndarray:
-    """Sum of w |label><label| as a dense 2^n x 2^n matrix."""
+    """Sum of w |label><label| as a dense 2^n x 2^n matrix: the label (e, s)
+    puts w/2 at (e, e) and (~e, ~e) and s*w/2 at (e, ~e) and (~e, e)."""
     dim = 1 << ens.n_qubits
+    x = np.arange(dim)
+    rep = np.minimum(x, x ^ (dim - 1))
+    plus, minus = ens.W
     rho = np.zeros((dim, dim), dtype=complex)
-    for label, w in ens.items():
-        vec = ghz_label_to_state(label, ens.n_qubits)
-        rho += w * np.outer(vec, vec.conj())
+    rho[x, x] = ((plus + minus) / 2.0)[rep]
+    rho[x, x ^ (dim - 1)] = ((plus - minus) / 2.0)[rep]
     return rho
 
 
@@ -188,6 +208,21 @@ def hadamard_all(obj: np.ndarray) -> np.ndarray:
     raise ValueError("expected a vector or a square matrix")
 
 
+def fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis (length 2^k):
+    out[..., j] = sum_x (-1)^popcount(j & x) a[..., x]."""
+    out = np.array(a, dtype=float)
+    h = 1
+    while h < out.shape[-1]:
+        v = out.reshape(out.shape[:-1] + (-1, 2, h))
+        lo, hi = v[..., 0, :], v[..., 1, :]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h *= 2
+    return out
+
+
 def ghz_basis_matrix(n: int) -> np.ndarray:
     """Columns are the 2^n GHZ basis vectors in all_labels(n) order."""
     return np.column_stack([ghz_label_to_state(lab, n) for lab in all_labels(n)])
@@ -195,9 +230,8 @@ def ghz_basis_matrix(n: int) -> np.ndarray:
 
 def random_ghz_diagonal(n: int, rng: np.random.Generator) -> GhzDiagonalEnsemble:
     """Random ensemble with Dirichlet(1) weights over all labels."""
-    labels = all_labels(n)
-    w = rng.dirichlet(np.ones(len(labels)))
-    return GhzDiagonalEnsemble(n, dict(zip(labels, w)))
+    w = rng.dirichlet(np.ones(1 << n))   # in all_labels(n) order
+    return GhzDiagonalEnsemble(n, w.reshape(-1, 2).T)
 
 
 def is_valid_density(rho: np.ndarray, atol: float = ATOL) -> bool:

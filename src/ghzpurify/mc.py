@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ghz import GhzDiagonalEnsemble, GhzLabel
+from .ghz import GhzDiagonalEnsemble
 from .optics import DiscriminationMode, ModeKind
 from .purify import StepKind, StepReport
 
@@ -40,10 +40,10 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind,
                    mode: DiscriminationMode, trials: int, seed: int) -> StepReport:
     """Empirical StepReport from `trials` sampled copy pairs.
 
-    keep_probability counts every kept trial; with epsilon > 0 some kept
-    trials come from misread mismatched branches, whose post-selected state
-    is not a GHZ basis state.  Those are tallied under the branch_stats key
-    ("spurious", "*") and excluded from the output ensemble.
+    Every kept trial enters the output: with epsilon > 0, a misread
+    mismatched pair still leaves a GHZ basis state by the same rule as a
+    genuine keep (P1: (e1, s1 s2), P2: (e1 xor e2, s1)).  The share of such
+    trials is reported under the branch_stats key ("spurious", "*").
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -51,13 +51,15 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind,
     full = (1 << n) - 1
     rng = np.random.default_rng(seed)
 
-    labels = sorted(ens.weights, key=lambda lab: (lab.rep, -lab.sign))
-    probs = np.array([ens.weights[lab] for lab in labels])
-    reps = np.array([int(lab.rep, 2) for lab in labels], dtype=np.int64)
-    signs = np.array([lab.sign for lab in labels], dtype=np.int64)
+    # Nonzero labels in all_labels order: rep ascending, +1 before -1.
+    flat = ens.W.T.ravel()
+    support = np.flatnonzero(flat)
+    probs = flat[support]
+    reps = support >> 1
+    signs = 1 - 2 * (support & 1)
 
-    i1 = rng.choice(len(labels), size=trials, p=probs)
-    i2 = rng.choice(len(labels), size=trials, p=probs)
+    i1 = rng.choice(len(support), size=trials, p=probs)
+    i2 = rng.choice(len(support), size=trials, p=probs)
     x = _support_samples(reps[i1], signs[i1], n, step, rng)
     y = _support_samples(reps[i2], signs[i2], n, step, rng)
     z = x ^ y
@@ -77,20 +79,20 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind,
         all_odd = odd_party.all(axis=1)
         kept = all_even | (all_odd if mode.kind is ModeKind.EVEN_PLUS_ODD else False)
 
-    genuine = kept & ((z == 0) | (z == full))
-    spurious_count = int(kept.sum() - genuine.sum())
+    n_kept = int(kept.sum())
+    spurious_count = n_kept - int((kept & ((z == 0) | (z == full))).sum())
 
-    # Output labels of genuinely kept trials (corrections are deterministic
+    # Output labels of every kept trial (corrections are deterministic
     # given the measurement outcome, so the final label does not depend on it).
     if step is StepKind.P1:
-        out_rep = reps[i1][genuine]
-        out_sign = (signs[i1] * signs[i2])[genuine]
+        out_rep = reps[i1][kept]
+        out_sign = (signs[i1] * signs[i2])[kept]
     else:
-        out_rep = (reps[i1] ^ reps[i2])[genuine]
-        out_sign = signs[i1][genuine]
+        out_rep = (reps[i1] ^ reps[i2])[kept]
+        out_sign = signs[i1][kept]
 
     # Simulated measurement outcomes, for the correction tally only.
-    m = rng.integers(0, 1 << n, size=int(genuine.sum()))
+    m = rng.integers(0, 1 << n, size=n_kept)
     m_parity = np.zeros_like(m)
     for b in range(n):
         m_parity ^= (m >> b) & 1
@@ -101,19 +103,14 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind,
     corrections = {"identity": (len(m) - flips) / trials,
                    "phase_flip": flips / trials}
 
-    if genuine.sum() == 0:
-        raise ValueError("no genuinely kept trials; increase trials")
-    key = out_rep * 2 + (out_sign == -1)
-    counts = np.bincount(key, minlength=2 << n)
-    weights = {}
-    for k in np.nonzero(counts)[0]:
-        label = GhzLabel(format(int(k) >> 1, f"0{n}b"), -1 if k & 1 else +1)
-        weights[label] = counts[k] / genuine.sum()
-    output = GhzDiagonalEnsemble(n, weights)
+    if n_kept == 0:
+        raise ValueError("no kept trials; increase trials")
+    counts = np.bincount(out_rep * 2 + (out_sign == -1), minlength=1 << n)
+    output = GhzDiagonalEnsemble(n, counts.reshape(-1, 2).T / n_kept)
 
     stats = {("E" * n, "*"): float((all_even & kept).sum()) / trials}
     if mode.kind is ModeKind.EVEN_PLUS_ODD:
         stats[("O" * n, "*")] = float((all_odd & kept).sum()) / trials
     if spurious_count:
         stats[("spurious", "*")] = spurious_count / trials
-    return StepReport(output, float(kept.sum()) / trials, stats, corrections)
+    return StepReport(output, n_kept / trials, stats, corrections)

@@ -103,6 +103,8 @@ class DiscriminationMode:
     def __post_init__(self):
         if not 0.0 <= self.misclassification_probability < 0.5:
             raise ValueError("misclassification probability must be in [0, 0.5)")
+        if not 0.0 < self.theta <= math.pi:
+            raise ValueError(f"theta must be in (0, pi], got {self.theta}")
         if self.kind is ModeKind.EVEN_PLUS_ODD and abs(self.theta - math.pi) > PHASE_ATOL:
             raise ValueError("even-plus-odd discrimination requires theta = pi")
 

@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .ghz import GhzDiagonalEnsemble, GhzLabel
+import numpy as np
+
+from .ghz import GhzDiagonalEnsemble, fwht
 from .optics import DiscriminationMode, ModeKind
 
 MIN_KEEP = 1e-300
@@ -39,9 +41,9 @@ class StepKind(str, Enum):
 class StepReport:
     """Output ensemble plus bookkeeping for one purification step.
 
-    branch_stats maps (parity verdict pattern, measurement outcome) to the
-    probability of that kept branch; corrections_applied maps correction
-    type to its probability mass.
+    branch_stats maps (parity verdict pattern, "*") to the probability of
+    that kept branch, summed over measurement outcomes; corrections_applied
+    maps correction type to its probability mass.
     """
 
     output: GhzDiagonalEnsemble
@@ -72,101 +74,57 @@ def _check_mode(ens: GhzDiagonalEnsemble, mode: DiscriminationMode):
                          "use mc_sample_step for noisy readout")
 
 
-def _finish(n: int, raw: dict[GhzLabel, float], keep: float,
-            branch_stats, corrections) -> StepReport:
+def _finish(n: int, raw: np.ndarray, keep: float, even_keep: float,
+            mode: DiscriminationMode, corrections) -> StepReport:
+    """raw holds the kept mass of each output label up to one positive factor."""
     if keep < MIN_KEEP:
         raise ValueError("keep probability underflowed; input is not purifiable")
-    output = GhzDiagonalEnsemble(n, {lab: w / keep for lab, w in raw.items()})
-    return StepReport(output, keep, branch_stats, corrections)
-
-
-def _uniform_outcome_stats(n: int, patterns: dict[str, float]):
-    """Split each kept parity pattern's mass uniformly over the 2^n outcomes."""
-    stats = {}
-    dim = 1 << n
-    for pattern, mass in patterns.items():
-        for m in range(dim):
-            stats[(pattern, format(m, f"0{n}b"))] = mass / dim
-    return stats
-
-
-def _p1_corrections(n: int, keep: float):
-    # Outcomes are uniform; half have odd parity and trigger the phase flip.
-    return {"identity": keep / 2.0, "phase_flip": keep / 2.0}
-
-
-def _p2_corrections(n: int, keep: float):
-    dim = 1 << n
-    return {"identity": keep / dim, "phase_flip": keep * (dim - 1) / dim}
+    stats = {("E" * n, "*"): even_keep}
+    if mode.kind is ModeKind.EVEN_PLUS_ODD:
+        stats[("O" * n, "*")] = keep - even_keep
+    return StepReport(GhzDiagonalEnsemble(n, raw / raw.sum()), keep, stats, corrections)
 
 
 def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
     """Bit-flip correction on two independent copies of the ensemble."""
     _check_mode(ens, mode)
     n = ens.n_qubits
-    factor = 1.0 if mode.kind is ModeKind.EVEN_PLUS_ODD else 0.5
-
-    by_rep: dict[str, dict[int, float]] = {}
-    for label, w in ens.items():
-        by_rep.setdefault(label.rep, {})[label.sign] = w
-
-    raw: dict[GhzLabel, float] = {}
-    keep = 0.0
-    for rep, signs in by_rep.items():
-        wp = signs.get(+1, 0.0)
-        wm = signs.get(-1, 0.0)
-        raw[GhzLabel(rep, +1)] = factor * (wp * wp + wm * wm)
-        raw[GhzLabel(rep, -1)] = factor * 2.0 * wp * wm
-        keep += factor * (wp + wm) ** 2
-
-    patterns = {"E" * n: keep if factor == 0.5 else keep / 2.0}
-    if mode.kind is ModeKind.EVEN_PLUS_ODD:
-        patterns["O" * n] = keep / 2.0
-    return _finish(n, raw, keep, _uniform_outcome_stats(n, patterns),
-                   _p1_corrections(n, keep))
+    both = mode.kind is ModeKind.EVEN_PLUS_ODD
+    wp, wm = ens.W
+    # Equal-rep pairs pass each kept branch with probability 1/2 and leave
+    # (e, s1*s2); the output does not depend on how many branches are kept.
+    raw = np.stack((wp * wp + wm * wm, 2.0 * wp * wm))
+    even_keep = 0.5 * float(raw.sum())
+    keep = 2.0 * even_keep if both else even_keep
+    # Outcomes are uniform; half have odd parity and trigger the phase flip.
+    corrections = {"identity": keep / 2.0, "phase_flip": keep / 2.0}
+    return _finish(n, raw, keep, even_keep, mode, corrections)
 
 
 def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
-    """Phase-flip correction via Hadamard-frame parity checking."""
+    """Phase-flip correction via Hadamard-frame parity checking.
+
+    A kept pair (probability 2^-(n-1)) leaves rep e1 xor e2: a sign row maps
+    to its XOR autoconvolution, fwht(fwht(row)^2) / 2^(n-1).
+    """
     _check_mode(ens, mode)
     n = ens.n_qubits
-    base = 2.0 ** -(n - 1)
-
-    by_sign: dict[int, dict[int, float]] = {+1: {}, -1: {}}
-    for label, w in ens.items():
-        by_sign[label.sign][int(label.rep, 2)] = w
-
-    raw: dict[GhzLabel, float] = {}
-    keep = 0.0
-
-    def accumulate(group1: dict[int, float], group2: dict[int, float], out_sign: int):
-        nonlocal keep
-        for e1, w1 in group1.items():
-            for e2, w2 in group2.items():
-                mass = base * w1 * w2
-                rep = format(e1 ^ e2, f"0{n}b")
-                label = GhzLabel(rep, out_sign)
-                raw[label] = raw.get(label, 0.0) + mass
-                keep += mass
-
-    for s in (+1, -1):
-        accumulate(by_sign[s], by_sign[s], s)
-    even_keep = keep
-    if mode.kind is ModeKind.EVEN_PLUS_ODD:
-        if n % 2 == 0:
-            # the all-odd branch mirrors the all-even one exactly
-            for label in raw:
-                raw[label] *= 2.0
-            keep *= 2.0
-        else:
-            for s in (+1, -1):
-                accumulate(by_sign[s], by_sign[-s], s)
-
-    patterns = {"E" * n: even_keep}
-    if mode.kind is ModeKind.EVEN_PLUS_ODD:
-        patterns["O" * n] = keep - even_keep
-    return _finish(n, raw, keep, _uniform_outcome_stats(n, patterns),
-                   _p2_corrections(n, keep))
+    both = mode.kind is ModeKind.EVEN_PLUS_ODD
+    scale = 2.0 ** -(2 * (n - 1))
+    F = fwht(ens.W)
+    raw = fwht(F * F)
+    even_keep = scale * float(raw.sum())
+    keep = even_keep
+    if both and n % 2 == 0:
+        # the all-odd branch mirrors the all-even one exactly
+        keep = 2.0 * even_keep
+    elif both:
+        # opposite-sign pairs, each output row carrying its copy-1 sign
+        raw += fwht(F[0] * F[1])
+        keep = scale * float(raw.sum())
+    dim = 1 << n
+    corrections = {"identity": keep / dim, "phase_flip": keep * (dim - 1) / dim}
+    return _finish(n, raw, keep, even_keep, mode, corrections)
 
 
 def apply_step(ens: GhzDiagonalEnsemble, step: StepKind,

@@ -98,6 +98,34 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert "n_qbits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, config", [
+        (["run", "--epsilon", "0.1"], None),
+        (["run"], {"stop": {"threshold": "0.9"}}),
+        (["run"], {"stop": {"rounds": "2"}}),
+        (["run", "--rounds", "1000000000"], None),
+        (["run", "--theta", "nan"], None),
+        (["sweep", "--grid", "0.6:0.9:0"], None),
+        (["sweep", "--grid", "0.9:0.6:-0.1"], None),
+        (["sweep", "--grid", "0:inf:0.1"], None),
+        (["sweep"], {"grid": {"param": "x", "values": ["a"]}}),
+        (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": ""}}),
+        (["run", "--outdir", "{file}"], None),
+    ])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        argv = [a.replace("{file}", str(blocker)) for a in argv]
+        if "--outdir" not in argv:
+            argv += ["--outdir", str(tmp_path / "out")]
+        if config is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_bad_step_name(self, tmp_path):
         code = main(["run", "--schedule", "P1,P3", "--x", "0.8",
                      "--threshold", "0.99", "--outdir", str(tmp_path)])

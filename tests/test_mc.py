@@ -80,17 +80,27 @@ class TestMisclassification:
         # only O(eps) of the mismatched branches, so the keep rate drops.
         ens = bit_error()
         clean = mc_sample_step(ens, StepKind.P1, EVEN_ONLY, TRIALS, seed=21)
-        noisy = mc_sample_step(ens, StepKind.P1,
-                               DiscriminationMode.even_only(epsilon=0.05),
-                               TRIALS, seed=21)
-        eps = 0.05
-        # Analytic keep rate: matching even 0.34*(1-eps)^3 + matching odd
-        # 0.34*eps^3 + mismatched 0.16*(eps^2*(1-eps) + eps*(1-eps)^2).
-        expected = (0.34 * (1 - eps) ** 3 + 0.34 * eps ** 3
-                    + 0.16 * (eps ** 2 * (1 - eps) + eps * (1 - eps) ** 2))
-        assert abs(noisy.keep_probability - expected) < binomial_3sigma(
-            expected, TRIALS)
-        assert noisy.keep_probability < clean.keep_probability
+        for eps in (0.05, 0.2):
+            noisy = mc_sample_step(ens, StepKind.P1,
+                                   DiscriminationMode.even_only(epsilon=eps),
+                                   TRIALS, seed=21)
+            # Analytic keep rate: matching even 0.34*(1-eps)^3 + matching odd
+            # 0.34*eps^3 + mismatched 0.16*(eps^2*(1-eps) + eps*(1-eps)^2).
+            expected = (0.34 * (1 - eps) ** 3 + 0.34 * eps ** 3
+                        + 0.16 * (eps ** 2 * (1 - eps) + eps * (1 - eps) ** 2))
+            assert abs(noisy.keep_probability - expected) < binomial_3sigma(
+                expected, TRIALS)
+            assert noisy.keep_probability < clean.keep_probability
+            # Every kept pair leaves its copy-1 label, misread or not: the
+            # target survives from target pairs (0.64 of pairs, kept with
+            # a = ((1-eps)^3 + eps^3)/2) and from mismatched target-first
+            # pairs (0.16, kept with b = (eps^2(1-eps) + eps(1-eps)^2)/2).
+            a = ((1 - eps) ** 3 + eps ** 3) / 2
+            b = (eps ** 2 * (1 - eps) + eps * (1 - eps) ** 2) / 2
+            fid = (0.64 * a + 0.16 * b) / expected
+            kept = int(round(noisy.keep_probability * TRIALS))
+            assert abs(ensemble_fidelity(noisy.output) - fid) < binomial_3sigma(
+                fid, kept)
 
     def test_epsilon_produces_spurious_keeps(self):
         ens = bit_error()
