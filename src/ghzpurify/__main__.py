@@ -1,0 +1,7 @@
+"""`python -m ghzpurify`: the same command line as the `ghzpurify` script."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

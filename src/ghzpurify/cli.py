@@ -266,8 +266,12 @@ def _corrupt_p2_correction(step: StepKind, outcome: str):
 
 
 def cmd_validate(args) -> int:
-    if args.n_max > MAX_QUBITS_EXACT:
-        raise ConfigError(f"--n-max is bounded at {MAX_QUBITS_EXACT}")
+    if not 2 <= args.n_max <= MAX_QUBITS_EXACT:
+        raise ConfigError(f"--n-max must lie in [2, {MAX_QUBITS_EXACT}]")
+    if args.cases < 1:
+        raise ConfigError("--cases must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
     correction = _corrupt_p2_correction if args.inject_corrupt_p2 \
         else correction_for_outcome
     results = run_validation(args.n_max, args.seed, args.cases,

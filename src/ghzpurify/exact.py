@@ -42,11 +42,13 @@ def _parity_mask(n: int, branch: str) -> np.ndarray:
 
 
 def _flip_copy2(rho_pair: np.ndarray, n: int) -> np.ndarray:
-    """Bit flip on every copy-2 qubit (index permutation y -> ~y)."""
+    """Bit flip on every copy-2 qubit (index permutation y -> ~y).
+
+    ~y = dim - 1 - y, so the permutation reverses both copy-2 axes.
+    """
     dim = 1 << n
-    idx = np.arange(dim * dim)
-    perm = (idx & ~(dim - 1)) | ((idx & (dim - 1)) ^ (dim - 1))
-    return rho_pair[np.ix_(perm, perm)]
+    r4 = rho_pair.reshape(dim, dim, dim, dim)
+    return np.ascontiguousarray(r4[:, ::-1, :, ::-1]).reshape(rho_pair.shape)
 
 
 def project_parity(rho_pair: np.ndarray, branch: str,
@@ -66,13 +68,16 @@ def project_parity(rho_pair: np.ndarray, branch: str,
     return projected, prob
 
 
+def _rotate_copy2_rows(rho_pair: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """(I (x) U) rho as t[x, p, y, b]: row (x, p), column (y, b)."""
+    dim = U.shape[0]
+    return (U @ rho_pair.reshape(dim, dim, dim * dim)).reshape(dim, dim, dim, dim)
+
+
 def apply_copy2_unitary(rho_pair: np.ndarray, U: np.ndarray) -> np.ndarray:
     """(I (x) U) rho (I (x) U)^dagger without forming the full unitary."""
-    n = num_qubits(rho_pair) // 2
-    dim = 1 << n
-    r4 = rho_pair.reshape(dim, dim, dim, dim)
-    out = np.einsum("pa,xayb,qb->xpyq", U, r4, U.conj(), optimize=True)
-    return out.reshape(dim * dim, dim * dim)
+    t = _rotate_copy2_rows(rho_pair, U)
+    return (t.reshape(-1, U.shape[0]) @ U.conj().T).reshape(rho_pair.shape)
 
 
 def _phase_flip_diag(n: int, qubits: tuple[int, ...]) -> np.ndarray:
@@ -88,27 +93,26 @@ def _phase_flip_diag(n: int, qubits: tuple[int, ...]) -> np.ndarray:
 def measure_copy2_and_correct(rho_pair: np.ndarray, step: StepKind,
                               correction=correction_for_outcome) -> np.ndarray:
     """Rotate copy 2 by 45 degrees, sum the Z-measurement channel with
-    outcome-conditioned corrections on copy 1, and trace out copy 2."""
+    outcome-conditioned corrections on copy 1, and trace out copy 2.
+
+    Outcome m reads the copy-2 diagonal block (x, m; y, m) of the rotated
+    operator, so only those blocks are formed, not the full rotation.
+    """
     n = num_qubits(rho_pair) // 2
-    dim = 1 << n
-    rotated = apply_copy2_unitary(rho_pair, hadamard_matrix(n))
-    r4 = rotated.reshape(dim, dim, dim, dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim):
-        block = r4[:, m, :, m]
-        diag = _phase_flip_diag(n, correction(step, format(m, f"0{n}b")))
-        out += diag[:, None] * block * diag[None, :]
-    trace = out.trace().real
-    return out / trace
+    U = hadamard_matrix(n)
+    blocks = np.einsum("xmyb,mb->xmy", _rotate_copy2_rows(rho_pair, U), U.conj())
+    D = np.array([_phase_flip_diag(n, correction(step, format(m, f"0{n}b")))
+                  for m in range(1 << n)])
+    out = np.einsum("mx,xmy,my->xy", D, blocks, D)
+    return out / out.trace().real
 
 
 def _kept_pair_state(rho_pair: np.ndarray, mode: DiscriminationMode
                      ) -> tuple[np.ndarray, float]:
-    even, p_even = project_parity(rho_pair, "even")
-    kept, keep = even, p_even
+    kept, keep = project_parity(rho_pair, "even")
     if mode.kind is ModeKind.EVEN_PLUS_ODD:
         odd, p_odd = project_parity(rho_pair, "odd")
-        kept = kept + odd
+        kept += odd
         keep += p_odd
     return kept, keep
 
@@ -117,7 +121,7 @@ def p1_exact(rho: np.ndarray, mode: DiscriminationMode,
              correction=correction_for_outcome) -> tuple[np.ndarray, float]:
     """Bit-flip correction on rho (x) rho; returns (output, keep probability)."""
     kept, keep = _kept_pair_state(tensor_pair(rho), mode)
-    return measure_copy2_and_correct(kept / keep, StepKind.P1, correction), keep
+    return measure_copy2_and_correct(kept, StepKind.P1, correction), keep
 
 
 def p2_exact(rho: np.ndarray, mode: DiscriminationMode,
@@ -126,7 +130,7 @@ def p2_exact(rho: np.ndarray, mode: DiscriminationMode,
     n = num_qubits(rho)
     H = hadamard_matrix(n)
     kept, keep = _kept_pair_state(tensor_pair(H @ rho @ H), mode)
-    out = measure_copy2_and_correct(kept / keep, StepKind.P2, correction)
+    out = measure_copy2_and_correct(kept, StepKind.P2, correction)
     return H @ out @ H, keep
 
 

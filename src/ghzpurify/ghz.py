@@ -190,8 +190,10 @@ def ensemble_to_density(ens: GhzDiagonalEnsemble) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def hadamard_matrix(n: int) -> np.ndarray:
-    """H^(x)n as a dense 2^n x 2^n matrix."""
-    return reduce(np.kron, [_H1] * n)
+    """H^(x)n as a dense 2^n x 2^n matrix, read-only: every caller shares it."""
+    H = reduce(np.kron, [_H1] * n)
+    H.flags.writeable = False
+    return H
 
 
 def hadamard_all(obj: np.ndarray) -> np.ndarray:

@@ -29,8 +29,11 @@ class Schedule:
             raise ValueError("schedule needs at least one step")
         if (self.stop_rounds is None) == (self.stop_threshold is None):
             raise ValueError("specify exactly one of stop_rounds, stop_threshold")
-        if self.stop_rounds is not None and not 0 <= self.stop_rounds <= MAX_ROUNDS:
-            raise ValueError(f"stop_rounds must lie in [0, {MAX_ROUNDS}]")
+        if self.stop_rounds is not None:
+            if not isinstance(self.stop_rounds, int) or isinstance(self.stop_rounds, bool):
+                raise ValueError(f"stop_rounds must be an integer, got {self.stop_rounds!r}")
+            if not 0 <= self.stop_rounds <= MAX_ROUNDS:
+                raise ValueError(f"stop_rounds must lie in [0, {MAX_ROUNDS}]")
         if self.stop_threshold is not None and not 0.5 < self.stop_threshold <= 1.0:
             raise ValueError("stop_threshold must lie in (1/2, 1]")
 

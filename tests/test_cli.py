@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ghzpurify
 from ghzpurify.cli import (EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
                            EXIT_VALIDATION, main)
 
@@ -110,12 +115,17 @@ class TestConfigErrors:
         (["sweep"], {"grid": {"param": "x", "values": ["a"]}}),
         (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": ""}}),
         (["run", "--outdir", "{file}"], None),
+        (["run"], {"stop": {"rounds": 2.5}}),
+        (["run"], {"stop": {"rounds": True}}),
+        (["validate", "--n-max", "1"], None),
+        (["validate", "--cases", "0"], None),
+        (["validate", "--seed", "-1"], None),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         argv = [a.replace("{file}", str(blocker)) for a in argv]
-        if "--outdir" not in argv:
+        if argv[0] != "validate" and "--outdir" not in argv:
             argv += ["--outdir", str(tmp_path / "out")]
         if config is not None:
             path = tmp_path / "scenario.json"
@@ -184,3 +194,13 @@ class TestValidate:
 
     def test_n_max_bound(self, capsys):
         assert main(["validate", "--n-max", "6"]) == EXIT_CONFIG
+
+    def test_python_dash_m_entry_point(self):
+        src = str(Path(ghzpurify.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "ghzpurify", "validate",
+                               "--n-max", "2", "--cases", "1"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "PASS oracle_equivalence" in proc.stdout

@@ -3,15 +3,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ghzpurify import exact
-from ghzpurify.exact import (fidelity_to_target, ghz_diagonal_extract,
-                             measure_copy2_and_correct, p1_exact, p2_exact,
-                             project_parity, tensor_pair)
+from ghzpurify.exact import (apply_copy2_unitary, fidelity_to_target,
+                             ghz_diagonal_extract, measure_copy2_and_correct,
+                             p1_exact, p2_exact, project_parity, tensor_pair)
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            build_binary_ensemble, ensemble_to_density,
-                           ghz_label_to_state, is_valid_density,
+                           ghz_label_to_state, hadamard_matrix, is_valid_density,
                            random_ghz_diagonal, target_label)
 from ghzpurify.optics import DiscriminationMode
-from ghzpurify.purify import StepKind
+from ghzpurify.purify import StepKind, correction_for_outcome
 
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()
@@ -115,6 +115,54 @@ class TestMeasureAndCorrect:
         kept = projector(vec(6, {"000000": S2, "111111": S2}))
         out = measure_copy2_and_correct(kept, StepKind.P1)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+
+
+def random_density(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestKernelsAgainstTextbookOperators:
+    """Each two-copy kernel against its operator written out as a matrix,
+    on a random complex density matrix that is not GHZ-diagonal."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_copy2_unitary(self, n):
+        rng = np.random.default_rng(20 + n)
+        dim = 1 << n
+        rho_pair = random_density(dim * dim, rng)
+        U, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                            + 1j * rng.normal(size=(dim, dim)))
+        full = np.kron(np.eye(dim), U)
+        assert_allclose(apply_copy2_unitary(rho_pair, U),
+                        full @ rho_pair @ full.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_copy2_flip(self, n):
+        rng = np.random.default_rng(30 + n)
+        dim = 1 << n
+        rho_pair = random_density(dim * dim, rng)
+        P = np.kron(np.eye(dim), np.eye(dim)[::-1])
+        assert_allclose(exact._flip_copy2(rho_pair, n), P @ rho_pair @ P,
+                        atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("step", [StepKind.P1, StepKind.P2])
+    def test_measurement_is_kraus_sum(self, n, step):
+        rng = np.random.default_rng(40 + n)
+        dim = 1 << n
+        rho_pair = random_density(dim * dim, rng)
+        H = hadamard_matrix(n)
+        total = np.zeros((dim, dim), dtype=complex)
+        for m in range(dim):
+            flips = correction_for_outcome(step, format(m, f"0{n}b"))
+            D = np.array([(-1.0) ** sum((x >> (n - 1 - q)) & 1 for q in flips)
+                          for x in range(dim)])
+            K = np.kron(np.diag(D), H[m:m + 1, :])
+            total += K @ rho_pair @ K.conj().T
+        assert_allclose(measure_copy2_and_correct(rho_pair, step),
+                        total / np.trace(total).real, atol=1e-12)
 
 
 class TestP1Exact:

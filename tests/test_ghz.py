@@ -7,7 +7,8 @@ from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            build_werner, canonical_label, complement,
                            ensemble_fidelity, ensemble_to_density,
                            ghz_basis_matrix, ghz_label_to_state, hadamard_all,
-                           is_valid_density, random_ghz_diagonal, target_label)
+                           hadamard_matrix, is_valid_density,
+                           random_ghz_diagonal, target_label)
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -187,3 +188,9 @@ class TestHadamard:
                 for x in range(1 << n):
                     if bin(x).count("1") % 2 != want_parity:
                         assert abs(rotated[x]) < 1e-12
+
+    def test_cached_matrix_is_read_only(self):
+        H = hadamard_matrix(3)
+        with pytest.raises(ValueError):
+            H[0, 0] = 0.0
+        assert_allclose(H @ H, np.eye(8), atol=1e-12)
