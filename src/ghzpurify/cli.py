@@ -46,6 +46,14 @@ class ConfigError(Exception):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad argument as a ConfigError: one line, exit code 2, and
+    no usage block.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _fmt(value: float) -> str:
     return format(value, ".17g")
 
@@ -286,7 +294,7 @@ def cmd_validate(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ghzpurify",
         description="Simulate QND-based purification of N-qubit GHZ ensembles")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -312,8 +320,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

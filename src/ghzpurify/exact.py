@@ -1,16 +1,38 @@
-"""Brute-force oracle: P1/P2 on full two-copy density matrices via
-projectors, outcome-summed measurement channels and partial traces.
+"""Dense density-matrix engine: P1/P2 as Schur products on 2^n x 2^n, and the
+brute-force two-copy oracle (`bruteforce_step`) that validates them.
 
-Two-copy indices are laid out as [copy-1 qubits, copy-2 qubits], so an index
-i encodes the pair of computational strings (x, y) = (i >> n, i & (2^n - 1)).
-Party k compares qubits (k, n + k).
+Schur form.  Lay the two copies out as [copy-1 qubits, copy-2 qubits], so a
+two-copy index i encodes the pair of strings (x, y) = (i >> n, i & (2^n - 1));
+party k compares qubits (k, n + k).
+- Even parity on every party keeps y = x, so the kept entries of rho (x) rho
+  are rho[x, x'] rho[x, x'] at ((x, x), (x', x')): the Schur product rho∘rho.
+- The odd branch keeps y = ~x.  Its theta = pi recovery flips every copy-2
+  qubit, which moves ~x back onto x and leaves rho∘(P rho P), where P is the
+  complement permutation x -> ~x.  Even-plus-odd adds the two.
+- The keep probability is the trace of the kept operator.
+- Measuring copy 2 in the rotated basis with outcome m gives copy 1 the sign
+  (-1)^(m.(x xor x')).  P1's correction (a phase flip when m has odd weight)
+  cancels it for x' in {x, ~x}, and the average over m erases every other
+  entry: the output is the kept operator masked to x' in {x, ~x}.
+- P2 runs the same core in the Hadamard frame r = H rho H.  Its correction
+  cancels the sign for every x', so there is no mask, and the output is
+  H (r∘r) H.
+Both steps hold O(4^n) memory.  P1 takes O(4^n) time; P2's frame changes
+are BLAS matrix products, O(8^n).
+
+Brute-force oracle.  `bruteforce_step` does the same operations on the full
+rho (x) rho (O(16^n)): parity projectors, the theta = pi recovery flip, the
+copy-2 measurement channel with a correction for every outcome, and the
+partial trace.  It uses none of the structure above, and takes the
+correction table as an argument, so validation can check the Schur form and
+the table against it.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .ghz import (MAX_QUBITS_EXACT, GhzDiagonalEnsemble, ghz_basis_matrix,
-                  ghz_label_to_state, hadamard_matrix, target_label)
+from .ghz import (MAX_QUBITS_EXACT, GhzDiagonalEnsemble, ghz_label_to_state,
+                  hadamard_matrix, target_label)
 from .optics import DiscriminationMode, ModeKind
 from .purify import StepKind, correction_for_outcome
 
@@ -22,11 +44,47 @@ def num_qubits(rho: np.ndarray) -> int:
     return n
 
 
+# -- Schur-product engine --------------------------------------------------
+
+def _schur_kept(rho: np.ndarray, mode: DiscriminationMode
+                ) -> tuple[np.ndarray, float]:
+    """rho∘rho, plus rho∘(P rho P) for even-plus-odd; and its trace."""
+    kept = rho * rho
+    if mode.kind is ModeKind.EVEN_PLUS_ODD:
+        kept += rho * rho[::-1, ::-1]
+    return kept, float(kept.trace().real)
+
+
+def p1_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, float]:
+    """Bit-flip correction; returns (output, keep probability)."""
+    kept, keep = _schur_kept(rho, mode)
+    x = np.arange(1 << num_qubits(rho))
+    out = np.zeros_like(kept)
+    out[x, x] = kept[x, x]
+    out[x, x[::-1]] = kept[x, x[::-1]]   # x[::-1] is ~x
+    return out / keep, keep
+
+
+def p2_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, float]:
+    """Phase-flip correction: the P1 core in the Hadamard frame, no mask."""
+    H = hadamard_matrix(num_qubits(rho))
+    kept, keep = _schur_kept(H @ rho @ H, mode)
+    return H @ kept @ H / keep, keep
+
+
+def exact_step(rho: np.ndarray, step: StepKind, mode: DiscriminationMode
+               ) -> tuple[np.ndarray, float]:
+    fn = p1_exact if step is StepKind.P1 else p2_exact
+    return fn(rho, mode)
+
+
+# -- brute-force oracle on rho (x) rho -------------------------------------
+
 def tensor_pair(rho: np.ndarray) -> np.ndarray:
     """rho (x) rho with copy-1 qubits first."""
     n = num_qubits(rho)
     if n > MAX_QUBITS_EXACT:
-        raise ValueError(f"exact engine is bounded at {MAX_QUBITS_EXACT} qubits")
+        raise ValueError(f"brute-force oracle is bounded at {MAX_QUBITS_EXACT} qubits")
     return np.kron(rho, rho)
 
 
@@ -117,40 +175,45 @@ def _kept_pair_state(rho_pair: np.ndarray, mode: DiscriminationMode
     return kept, keep
 
 
-def p1_exact(rho: np.ndarray, mode: DiscriminationMode,
-             correction=correction_for_outcome) -> tuple[np.ndarray, float]:
-    """Bit-flip correction on rho (x) rho; returns (output, keep probability)."""
+def bruteforce_step(rho: np.ndarray, step: StepKind, mode: DiscriminationMode,
+                    correction=correction_for_outcome) -> tuple[np.ndarray, float]:
+    """The step on the full rho (x) rho, with an injectable correction table.
+
+    P2 runs the P1 operations in the Hadamard frame.  O(16^n): validation only.
+    """
+    H = hadamard_matrix(num_qubits(rho))
+    if step is StepKind.P2:
+        rho = H @ rho @ H
     kept, keep = _kept_pair_state(tensor_pair(rho), mode)
-    return measure_copy2_and_correct(kept, StepKind.P1, correction), keep
+    out = measure_copy2_and_correct(kept, step, correction)
+    return (H @ out @ H if step is StepKind.P2 else out), keep
 
 
-def p2_exact(rho: np.ndarray, mode: DiscriminationMode,
-             correction=correction_for_outcome) -> tuple[np.ndarray, float]:
-    """Phase-flip correction: Hadamard frame in, P1 core, Hadamard frame out."""
-    n = num_qubits(rho)
-    H = hadamard_matrix(n)
-    kept, keep = _kept_pair_state(tensor_pair(H @ rho @ H), mode)
-    out = measure_copy2_and_correct(kept, StepKind.P2, correction)
-    return H @ out @ H, keep
-
-
-def exact_step(rho: np.ndarray, step: StepKind, mode: DiscriminationMode
-               ) -> tuple[np.ndarray, float]:
-    fn = p1_exact if step is StepKind.P1 else p2_exact
-    return fn(rho, mode)
-
+# -- readout of a dense state ----------------------------------------------
 
 def ghz_diagonal_extract(rho: np.ndarray) -> tuple[GhzDiagonalEnsemble, float]:
-    """Diagonal weights in the GHZ basis plus the off-diagonal residual norm."""
+    """Diagonal weights in the GHZ basis plus the off-diagonal residual norm.
+
+    The label (e, s) lives on {|e>, |~e>}, so its weight reads four entries:
+    w(e, s) = ½ Re(rho[e, e] + rho[~e, ~e]) + s·½ Re(rho[e, ~e] + rho[~e, e]).
+    The GHZ basis is orthonormal, so the residual is ‖rho − rho_GHZ‖_F, where
+    rho_GHZ is the GHZ-diagonal state with these weights: it sits on the
+    diagonal and the anti-diagonal, and the difference is formed entry by
+    entry.  (The shortcut √(‖rho‖² − Σ w²) loses everything below about 1e-8
+    to cancellation.)
+    """
     n = num_qubits(rho)
-    B = ghz_basis_matrix(n)
-    in_basis = B.conj().T @ rho @ B
-    diag = in_basis.diagonal().real.copy()
-    residual = float(np.linalg.norm(in_basis - np.diag(diag)))
-    diag = np.clip(diag, 0.0, None)
-    diag /= diag.sum()
-    ens = GhzDiagonalEnsemble(n, diag.reshape(-1, 2).T)   # all_labels(n) order
-    return ens, residual
+    x = np.arange(1 << n)
+    diag, anti = rho[x, x], rho[x, x[::-1]]      # x[::-1] is ~x
+    mean = ((diag + diag[::-1]) / 2.0).real
+    cross = ((anti + anti[::-1]) / 2.0).real
+    ghz_part = np.zeros_like(rho)
+    ghz_part[x, x] = mean
+    ghz_part[x, x[::-1]] = cross
+    residual = float(np.linalg.norm(rho - ghz_part))
+    reps = slice(0, len(x) // 2)                   # canonical reps: first bit 0
+    W = np.clip(np.stack([mean[reps] + cross[reps], mean[reps] - cross[reps]]), 0.0, None)
+    return GhzDiagonalEnsemble(n, W / W.sum()), residual
 
 
 def fidelity_to_target(rho: np.ndarray) -> float:

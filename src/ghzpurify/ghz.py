@@ -236,6 +236,15 @@ def random_ghz_diagonal(n: int, rng: np.random.Generator) -> GhzDiagonalEnsemble
     return GhzDiagonalEnsemble(n, w.reshape(-1, 2).T)
 
 
+def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank complex density matrix A A^dagger / tr with A a
+    complex Gaussian 2^n x 2^n matrix: not GHZ-diagonal."""
+    shape = (1 << n, 1 << n)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
 def is_valid_density(rho: np.ndarray, atol: float = ATOL) -> bool:
     """Hermitian, trace one, eigenvalues >= -1e-10."""
     if not np.allclose(rho, rho.conj().T, atol=atol):

@@ -1,5 +1,6 @@
-"""Self-validation suite: oracle-vs-fast-engine equivalence, the Hadamard
-grouping table, intermediate state reproduction and probability bookkeeping.
+"""Self-validation suite: fast-vs-dense equivalence, dense-vs-brute-force
+equivalence, the Hadamard grouping table, intermediate state reproduction
+and probability bookkeeping.
 
 Used by both the `validate` CLI command and the test suite.
 """
@@ -10,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .ghz import (GhzLabel, all_labels, ensemble_to_density, ghz_label_to_state,
-                  hadamard_all, hadamard_matrix, random_ghz_diagonal)
+from .ghz import (MAX_QUBITS_EXACT, GhzLabel, all_labels, ensemble_to_density,
+                  ghz_label_to_state, hadamard_all, hadamard_matrix,
+                  random_density, random_ghz_diagonal)
 from .optics import DiscriminationMode
 from .purify import StepKind, apply_step, correction_for_outcome
 
@@ -100,9 +102,10 @@ def check_p2_correction_table(n_max: int = 5,
                               correction=correction_for_outcome) -> CheckResult:
     """The X-outcome sign signature (-1)^(x.m) must be cancelled exactly.
 
-    Drives every pure GHZ basis state through the exact phase-flip step; the
-    shared bit pattern cancels between the two copies, so every kept branch
-    must land on the all-zero-rep state with the input's sign.
+    Drives every pure GHZ basis state through the brute-force phase-flip
+    step, the one engine that takes the table as an argument; the shared bit
+    pattern cancels between the two copies, so every kept branch must land on
+    the all-zero-rep state with the input's sign.
     """
     worst = 0.0
     mode = DiscriminationMode.even_only()
@@ -110,7 +113,7 @@ def check_p2_correction_table(n_max: int = 5,
         for label in all_labels(n):
             vec = ghz_label_to_state(label, n)
             rho = np.outer(vec, vec.conj())
-            out, _ = exact.p2_exact(rho, mode, correction=correction)
+            out, _ = exact.bruteforce_step(rho, StepKind.P2, mode, correction)
             want = ghz_label_to_state(GhzLabel("0" * n, label.sign), n)
             expected = np.outer(want, want.conj())
             worst = max(worst, float(np.abs(out - expected).max()))
@@ -142,7 +145,7 @@ def check_measurement_sign_patterns() -> CheckResult:
 
 def check_oracle_equivalence(n_max: int = 4, seed: int = 7,
                              cases: int = 50) -> CheckResult:
-    """Fast-engine diagonals vs exact-engine output on random ensembles."""
+    """Fast-engine weights vs the dense engine's output on random ensembles."""
     rng = np.random.default_rng(seed)
     worst_diag = worst_keep = worst_res = 0.0
     modes = (DiscriminationMode.even_only(), DiscriminationMode.even_plus_odd())
@@ -162,6 +165,26 @@ def check_oracle_equivalence(n_max: int = 4, seed: int = 7,
     ok = worst_diag < 1e-9 and worst_keep < 1e-12 and worst_res < 1e-10
     detail = (f"diag={worst_diag:.3e} keep={worst_keep:.3e} residual={worst_res:.3e}")
     return CheckResult("oracle_equivalence", ok, worst_diag, detail)
+
+
+def check_dense_vs_bruteforce(n_max: int = 5, seed: int = 7,
+                              cases: int = 2) -> CheckResult:
+    """Schur-product steps vs the brute-force oracle on random complex
+    density matrices, which are not GHZ-diagonal: both steps, with and
+    without the odd branch."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    modes = (DiscriminationMode.even_only(), DiscriminationMode.even_plus_odd())
+    for n in range(2, min(n_max, MAX_QUBITS_EXACT) + 1):
+        for _ in range(cases):
+            rho = random_density(n, rng)
+            for step in (StepKind.P1, StepKind.P2):
+                for mode in modes:
+                    dense, keep = exact.exact_step(rho, step, mode)
+                    brute, brute_keep = exact.bruteforce_step(rho, step, mode)
+                    worst = max(worst, float(np.abs(dense - brute).max()),
+                                abs(keep - brute_keep))
+    return CheckResult("dense_vs_bruteforce", worst < 1e-12, worst)
 
 
 def check_probability_bookkeeping(seed: int = 11, cases: int = 20) -> CheckResult:
@@ -195,5 +218,6 @@ def run_validation(n_max: int = 4, seed: int = 7, cases: int = 50,
         check_measurement_sign_patterns(),
         check_p2_correction_table(n_max, correction=p2_correction),
         check_oracle_equivalence(n_max, seed, cases),
+        check_dense_vs_bruteforce(n_max, seed),
         check_probability_bookkeeping(seed),
     ]

@@ -120,6 +120,8 @@ class TestConfigErrors:
         (["validate", "--n-max", "1"], None),
         (["validate", "--cases", "0"], None),
         (["validate", "--seed", "-1"], None),
+        (["run", "--n", "x"], None),
+        (["validate", "--n-max", "x"], None),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"
@@ -176,6 +178,7 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "oracle_equivalence" in out
+        assert "dense_vs_bruteforce" in out
 
     def test_seed_independent_verdicts(self, capsys):
         assert main(["validate", "--n-max", "3", "--cases", "5",

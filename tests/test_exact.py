@@ -3,13 +3,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ghzpurify import exact
-from ghzpurify.exact import (apply_copy2_unitary, fidelity_to_target,
-                             ghz_diagonal_extract, measure_copy2_and_correct,
-                             p1_exact, p2_exact, project_parity, tensor_pair)
+from ghzpurify.exact import (apply_copy2_unitary, bruteforce_step,
+                             fidelity_to_target, ghz_diagonal_extract,
+                             measure_copy2_and_correct, p1_exact, p2_exact,
+                             project_parity, tensor_pair)
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            build_binary_ensemble, ensemble_to_density,
-                           ghz_label_to_state, hadamard_matrix, is_valid_density,
-                           random_ghz_diagonal, target_label)
+                           ghz_basis_matrix, ghz_label_to_state, hadamard_matrix,
+                           is_valid_density, random_density, random_ghz_diagonal,
+                           target_label)
 from ghzpurify.optics import DiscriminationMode
 from ghzpurify.purify import StepKind, correction_for_outcome
 
@@ -117,12 +119,6 @@ class TestMeasureAndCorrect:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
 
-def random_density(dim, rng):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
 class TestKernelsAgainstTextbookOperators:
     """Each two-copy kernel against its operator written out as a matrix,
     on a random complex density matrix that is not GHZ-diagonal."""
@@ -131,7 +127,7 @@ class TestKernelsAgainstTextbookOperators:
     def test_copy2_unitary(self, n):
         rng = np.random.default_rng(20 + n)
         dim = 1 << n
-        rho_pair = random_density(dim * dim, rng)
+        rho_pair = random_density(2 * n, rng)
         U, _ = np.linalg.qr(rng.normal(size=(dim, dim))
                             + 1j * rng.normal(size=(dim, dim)))
         full = np.kron(np.eye(dim), U)
@@ -142,7 +138,7 @@ class TestKernelsAgainstTextbookOperators:
     def test_copy2_flip(self, n):
         rng = np.random.default_rng(30 + n)
         dim = 1 << n
-        rho_pair = random_density(dim * dim, rng)
+        rho_pair = random_density(2 * n, rng)
         P = np.kron(np.eye(dim), np.eye(dim)[::-1])
         assert_allclose(exact._flip_copy2(rho_pair, n), P @ rho_pair @ P,
                         atol=1e-12)
@@ -152,7 +148,7 @@ class TestKernelsAgainstTextbookOperators:
     def test_measurement_is_kraus_sum(self, n, step):
         rng = np.random.default_rng(40 + n)
         dim = 1 << n
-        rho_pair = random_density(dim * dim, rng)
+        rho_pair = random_density(2 * n, rng)
         H = hadamard_matrix(n)
         total = np.zeros((dim, dim), dtype=complex)
         for m in range(dim):
@@ -163,6 +159,22 @@ class TestKernelsAgainstTextbookOperators:
             total += K @ rho_pair @ K.conj().T
         assert_allclose(measure_copy2_and_correct(rho_pair, step),
                         total / np.trace(total).real, atol=1e-12)
+
+
+class TestSchurAgainstBruteForce:
+    """The Schur-product steps against the brute-force oracle on rho (x) rho,
+    on random complex density matrices that are not GHZ-diagonal."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("step", [StepKind.P1, StepKind.P2])
+    @pytest.mark.parametrize("mode", [EVEN_ONLY, EVEN_PLUS_ODD],
+                             ids=["even-only", "even-plus-odd"])
+    def test_step_matches_bruteforce(self, n, step, mode):
+        rho = random_density(n, np.random.default_rng(50 + n))
+        out, keep = exact.exact_step(rho, step, mode)
+        want, want_keep = bruteforce_step(rho, step, mode)
+        assert_allclose(out, want, rtol=0, atol=1e-12)
+        assert keep == pytest.approx(want_keep, abs=1e-12)
 
 
 class TestP1Exact:
@@ -230,6 +242,30 @@ class TestDiagonalExtract:
                 out, _ = exact.exact_step(rho, step, EVEN_ONLY)
                 _, residual = ghz_diagonal_extract(out)
                 assert residual < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_basis_change(self, n):
+        rho = random_density(n, np.random.default_rng(70 + n))
+        B = ghz_basis_matrix(n)
+        in_basis = B.conj().T @ rho @ B
+        diag = in_basis.diagonal().real
+        got, residual = ghz_diagonal_extract(rho)
+        assert residual == pytest.approx(np.linalg.norm(in_basis - np.diag(diag)),
+                                         rel=1e-12)
+        assert_allclose(got.W, (diag / diag.sum()).reshape(-1, 2).T, rtol=0,
+                        atol=1e-12)
+
+    def test_small_residual_is_resolved(self):
+        # A 1e-11 perturbation of a GHZ-diagonal state: the residual is read
+        # from the entries, so it is not lost in the rounding of ||rho||^2.
+        rng = np.random.default_rng(80)
+        rho = (ensemble_to_density(random_ghz_diagonal(3, rng))
+               + 1e-11 * random_density(3, rng))
+        B = ghz_basis_matrix(3)
+        in_basis = B.conj().T @ rho @ B
+        want = np.linalg.norm(in_basis - np.diag(in_basis.diagonal().real))
+        _, residual = ghz_diagonal_extract(rho)
+        assert residual == pytest.approx(want, rel=1e-4)
 
     def test_nondiagonal_has_residual(self):
         plus = vec(2, {"00": 1.0})

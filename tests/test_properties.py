@@ -1,9 +1,12 @@
-"""Property tests of the fast step maps on random GHZ-diagonal ensembles."""
+"""Property tests of the fast step maps on random GHZ-diagonal ensembles,
+and of the dense engine on random complex density matrices."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzpurify.ghz import GhzDiagonalEnsemble, GhzLabel, target_label
+from ghzpurify.exact import exact_step, ghz_diagonal_extract
+from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, ensemble_to_density,
+                           is_valid_density, target_label)
 from ghzpurify.optics import DiscriminationMode, ModeKind
 from ghzpurify.purify import StepKind, apply_step
 
@@ -105,3 +108,49 @@ def test_six_mode_output_equals_even_only(ens):
         one = apply_step(ens, step, EVEN_ONLY)
         assert six.keep_probability == one.keep_probability
         assert np.array_equal(six.output.W, one.output.W)
+
+
+@st.composite
+def densities(draw):
+    """Complex density matrices at n = 2..4 of any rank, pure to full."""
+    n = draw(st.integers(2, 4))
+    rank = draw(st.integers(1, 1 << n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(1 << n, rank)) + 1j * rng.normal(size=(1 << n, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@SETTINGS
+@given(densities())
+def test_dense_output_is_a_state_and_keep_a_probability(rho):
+    for step in StepKind:
+        for mode in MODES:
+            out, keep = exact_step(rho, step, mode)
+            assert is_valid_density(out)   # Hermitian, trace one, eigenvalues >= -1e-10
+            assert 0.0 < keep <= 1.0 + 1e-12
+
+
+@SETTINGS
+@given(densities())
+def test_dense_even_plus_odd_doubles_p1_keep_exactly(rho):
+    # Exact whenever rho[x, x] == rho[~x, ~x], as for every GHZ-diagonal state:
+    # the odd branch then keeps the same mass as the even one.
+    sym = (rho + rho[::-1, ::-1]) / 2.0
+    _, one = exact_step(sym, StepKind.P1, EVEN_ONLY)
+    _, both = exact_step(sym, StepKind.P1, EVEN_PLUS_ODD)
+    assert both == 2.0 * one
+
+
+@SETTINGS
+@given(ensembles())
+def test_dense_engine_matches_the_fast_engine_on_ghz_diagonal_input(ens):
+    rho = ensemble_to_density(ens)
+    for step in StepKind:
+        for mode in MODES:
+            fast = apply_step(ens, step, mode)
+            out, keep = exact_step(rho, step, mode)
+            extracted, residual = ghz_diagonal_extract(out)
+            assert abs(keep - fast.keep_probability) <= 1e-12
+            assert np.abs(extracted.W - fast.output.W).max() <= 1e-9
+            assert residual <= 1e-10
