@@ -30,7 +30,6 @@ rep = p1_step(ens, mode)
 print(f"after P1: fidelity {ensemble_fidelity(rep.output):.6f} "
       f"(= F^2/(F^2+(1-F)^2) = {F**2 / (F**2 + (1-F)**2):.6f})")
 print(f"keep probability {rep.keep_probability:.4f}")
-print("corrections:", {k: round(v, 4) for k, v in rep.corrections_applied.items()})
 
 rho_out, keep = exact_step(ensemble_to_density(ens), StepKind.P1, mode)
 print(f"exact engine: fidelity {fidelity_to_target(rho_out):.6f}, "

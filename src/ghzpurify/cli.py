@@ -13,7 +13,7 @@ from .ghz import (MAX_QUBITS_EXACT, MAX_QUBITS_FAST, GhzDiagonalEnsemble,
                   build_binary_ensemble, build_bitflip_ensemble, build_werner,
                   canonical_label)
 from .optics import DiscriminationMode, ModeKind
-from .purify import StepKind, correction_for_outcome
+from .purify import StepKind
 from .schedule import Schedule, ScheduleTrace, run_schedule, sweep
 from .validation import run_validation
 
@@ -58,6 +58,13 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
+def _number(value) -> float:
+    """float() of a config value; a JSON boolean is not a number."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     config = dict(_DEFAULT_CONFIG)
     if path is not None:
@@ -86,14 +93,14 @@ def build_initial(config: dict) -> GhzDiagonalEnsemble:
     kind = init["type"]
     try:
         if kind == "werner":
-            return build_werner(float(init["x"]), n)
+            return build_werner(_number(init["x"]), n)
         if kind == "binary":
             rep = init.get("error_rep", "1" + "0" * (n - 1))
-            sign = int(init.get("error_sign", 1))
-            return build_binary_ensemble(float(init["F"]),
+            sign = int(_number(init.get("error_sign", 1)))
+            return build_binary_ensemble(_number(init["F"]),
                                          canonical_label(rep, sign), n)
         if kind == "bitflip":
-            return build_bitflip_ensemble([float(w) for w in init["weights"]], n)
+            return build_bitflip_ensemble([_number(w) for w in init["weights"]], n)
     except (LookupError, TypeError, ValueError) as err:
         raise ConfigError(f"field 'initial': {err}")
     raise ConfigError(f"initial.type must be werner|binary|bitflip, got {kind!r}")
@@ -106,8 +113,8 @@ def build_schedule(config: dict) -> Schedule:
         raise ConfigError(f"field 'schedule': {err}")
     try:
         mode = DiscriminationMode(ModeKind(config["mode"]),
-                                  float(config["epsilon"]),
-                                  float(config["theta"]))
+                                  _number(config["epsilon"]),
+                                  _number(config["theta"]))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"field 'mode'/'theta'/'epsilon': {err}")
     if mode.misclassification_probability != 0.0:
@@ -267,12 +274,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _corrupt_p2_correction(step: StepKind, outcome: str):
-    if step is StepKind.P2 and outcome.count("1"):
-        return (0,)  # wrong pattern: ignores which qubits the outcome flags
-    return correction_for_outcome(step, outcome)
-
-
 def cmd_validate(args) -> int:
     if not 2 <= args.n_max <= MAX_QUBITS_EXACT:
         raise ConfigError(f"--n-max must lie in [2, {MAX_QUBITS_EXACT}]")
@@ -280,10 +281,7 @@ def cmd_validate(args) -> int:
         raise ConfigError("--cases must be at least 1")
     if args.seed < 0:
         raise ConfigError("--seed must be nonnegative")
-    correction = _corrupt_p2_correction if args.inject_corrupt_p2 \
-        else correction_for_outcome
-    results = run_validation(args.n_max, args.seed, args.cases,
-                             p2_correction=correction)
+    results = run_validation(args.n_max, args.seed, args.cases)
     failed = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -313,8 +311,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--n-max", type=int, default=4, dest="n_max")
     p_val.add_argument("--seed", type=int, default=7)
     p_val.add_argument("--cases", type=int, default=50)
-    p_val.add_argument("--inject-corrupt-p2", action="store_true",
-                       help=argparse.SUPPRESS)  # fault-injection test hook
     p_val.set_defaults(func=cmd_validate)
     return parser
 

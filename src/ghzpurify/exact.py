@@ -34,7 +34,7 @@ import numpy as np
 from .ghz import (MAX_QUBITS_EXACT, GhzDiagonalEnsemble, ghz_label_to_state,
                   hadamard_matrix, target_label)
 from .optics import DiscriminationMode, ModeKind
-from .purify import StepKind, correction_for_outcome
+from .purify import StepKind, check_ideal_readout, correction_for_outcome
 
 
 def num_qubits(rho: np.ndarray) -> int:
@@ -57,6 +57,7 @@ def _schur_kept(rho: np.ndarray, mode: DiscriminationMode
 
 def p1_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, float]:
     """Bit-flip correction; returns (output, keep probability)."""
+    check_ideal_readout(mode)
     kept, keep = _schur_kept(rho, mode)
     x = np.arange(1 << num_qubits(rho))
     out = np.zeros_like(kept)
@@ -67,6 +68,7 @@ def p1_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, flo
 
 def p2_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, float]:
     """Phase-flip correction: the P1 core in the Hadamard frame, no mask."""
+    check_ideal_readout(mode)
     H = hadamard_matrix(num_qubits(rho))
     kept, keep = _schur_kept(H @ rho @ H, mode)
     return H @ kept @ H / keep, keep
@@ -88,15 +90,12 @@ def tensor_pair(rho: np.ndarray) -> np.ndarray:
     return np.kron(rho, rho)
 
 
-def _parity_mask(n: int, branch: str) -> np.ndarray:
+def parity_mask(n: int, pattern: int) -> np.ndarray:
+    """Two-copy basis states (x, y) whose parties read the parity pattern
+    x xor y: 0 is all even, 2^n - 1 all odd."""
     dim = 1 << n
     idx = np.arange(dim * dim)
-    x, y = idx >> n, idx & (dim - 1)
-    if branch == "even":
-        return x == y
-    if branch == "odd":
-        return (x ^ y) == dim - 1
-    raise ValueError(f"branch must be 'even' or 'odd', got {branch!r}")
+    return ((idx >> n) ^ (idx & (dim - 1))) == pattern
 
 
 def _flip_copy2(rho_pair: np.ndarray, n: int) -> np.ndarray:
@@ -117,8 +116,10 @@ def project_parity(rho_pair: np.ndarray, branch: str,
     branch, when recover_odd is set, additionally applies the theta = pi
     recovery bit flip to every copy-2 qubit.
     """
+    if branch not in ("even", "odd"):
+        raise ValueError(f"branch must be 'even' or 'odd', got {branch!r}")
     n = num_qubits(rho_pair) // 2
-    mask = _parity_mask(n, branch)
+    mask = parity_mask(n, 0 if branch == "even" else (1 << n) - 1)
     projected = np.where(np.outer(mask, mask), rho_pair, 0.0)
     prob = float(np.trace(projected).real)
     if branch == "odd" and recover_odd:
@@ -181,6 +182,7 @@ def bruteforce_step(rho: np.ndarray, step: StepKind, mode: DiscriminationMode,
 
     P2 runs the P1 operations in the Hadamard frame.  O(16^n): validation only.
     """
+    check_ideal_readout(mode)
     H = hadamard_matrix(num_qubits(rho))
     if step is StepKind.P2:
         rho = H @ rho @ H

@@ -82,26 +82,15 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind,
     n_kept = int(kept.sum())
     spurious_count = n_kept - int((kept & ((z == 0) | (z == full))).sum())
 
-    # Output labels of every kept trial (corrections are deterministic
-    # given the measurement outcome, so the final label does not depend on it).
+    # Output labels of every kept trial.  The correction cancels the sign
+    # that the copy-2 outcome leaves, so the label does not depend on the
+    # outcome and the outcome is not drawn.
     if step is StepKind.P1:
         out_rep = reps[i1][kept]
         out_sign = (signs[i1] * signs[i2])[kept]
     else:
         out_rep = (reps[i1] ^ reps[i2])[kept]
         out_sign = signs[i1][kept]
-
-    # Simulated measurement outcomes, for the correction tally only.
-    m = rng.integers(0, 1 << n, size=n_kept)
-    m_parity = np.zeros_like(m)
-    for b in range(n):
-        m_parity ^= (m >> b) & 1
-    if step is StepKind.P1:
-        flips = int(m_parity.sum())
-    else:
-        flips = int((m != 0).sum())
-    corrections = {"identity": (len(m) - flips) / trials,
-                   "phase_flip": flips / trials}
 
     if n_kept == 0:
         raise ValueError("no kept trials; increase trials")
@@ -113,4 +102,4 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind,
         stats[("O" * n, "*")] = float((all_odd & kept).sum()) / trials
     if spurious_count:
         stats[("spurious", "*")] = spurious_count / trials
-    return StepReport(output, n_kept / trials, stats, corrections)
+    return StepReport(output, n_kept / trials, stats)

@@ -121,16 +121,6 @@ class DiscriminationMode:
         return cls(ModeKind.SIX_MODE_PBS, 0.0, math.pi)
 
 
-@dataclass(frozen=True)
-class ParityReading:
-    shift_class: ShiftClass
-    verdict: Verdict
-
-    def __post_init__(self):
-        if (self.verdict is Verdict.EVEN) != (self.shift_class is ShiftClass.SHIFT_THETA):
-            raise ValueError("verdict EVEN iff shift class is theta")
-
-
 def discriminate(shift_class: ShiftClass, mode: DiscriminationMode,
                  rng: np.random.Generator | None = None) -> Verdict:
     """Verdict for a shift class; with epsilon > 0 the verdict may flip.

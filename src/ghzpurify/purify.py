@@ -42,14 +42,12 @@ class StepReport:
     """Output ensemble plus bookkeeping for one purification step.
 
     branch_stats maps (parity verdict pattern, "*") to the probability of
-    that kept branch, summed over measurement outcomes; corrections_applied
-    maps correction type to its probability mass.
+    that kept branch, summed over measurement outcomes.
     """
 
     output: GhzDiagonalEnsemble
     keep_probability: float
     branch_stats: dict[tuple[str, str], float] = field(default_factory=dict)
-    corrections_applied: dict[str, float] = field(default_factory=dict)
 
 
 def correction_for_outcome(step: StepKind, outcome: str) -> tuple[int, ...]:
@@ -68,26 +66,28 @@ def correction_for_outcome(step: StepKind, outcome: str) -> tuple[int, ...]:
     raise ValueError(f"unknown step kind {step!r}")
 
 
-def _check_mode(ens: GhzDiagonalEnsemble, mode: DiscriminationMode):
+def check_ideal_readout(mode: DiscriminationMode):
+    """The deterministic step maps, closed-form and dense, model an
+    error-free parity readout."""
     if mode.misclassification_probability != 0.0:
         raise ValueError("deterministic step maps require epsilon = 0; "
                          "use mc_sample_step for noisy readout")
 
 
 def _finish(n: int, raw: np.ndarray, keep: float, even_keep: float,
-            mode: DiscriminationMode, corrections) -> StepReport:
+            mode: DiscriminationMode) -> StepReport:
     """raw holds the kept mass of each output label up to one positive factor."""
     if keep < MIN_KEEP:
         raise ValueError("keep probability underflowed; input is not purifiable")
     stats = {("E" * n, "*"): even_keep}
     if mode.kind is ModeKind.EVEN_PLUS_ODD:
         stats[("O" * n, "*")] = keep - even_keep
-    return StepReport(GhzDiagonalEnsemble(n, raw / raw.sum()), keep, stats, corrections)
+    return StepReport(GhzDiagonalEnsemble(n, raw / raw.sum()), keep, stats)
 
 
 def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
     """Bit-flip correction on two independent copies of the ensemble."""
-    _check_mode(ens, mode)
+    check_ideal_readout(mode)
     n = ens.n_qubits
     both = mode.kind is ModeKind.EVEN_PLUS_ODD
     wp, wm = ens.W
@@ -96,9 +96,7 @@ def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
     raw = np.stack((wp * wp + wm * wm, 2.0 * wp * wm))
     even_keep = 0.5 * float(raw.sum())
     keep = 2.0 * even_keep if both else even_keep
-    # Outcomes are uniform; half have odd parity and trigger the phase flip.
-    corrections = {"identity": keep / 2.0, "phase_flip": keep / 2.0}
-    return _finish(n, raw, keep, even_keep, mode, corrections)
+    return _finish(n, raw, keep, even_keep, mode)
 
 
 def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
@@ -107,7 +105,7 @@ def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
     A kept pair (probability 2^-(n-1)) leaves rep e1 xor e2: a sign row maps
     to its XOR autoconvolution, fwht(fwht(row)^2) / 2^(n-1).
     """
-    _check_mode(ens, mode)
+    check_ideal_readout(mode)
     n = ens.n_qubits
     both = mode.kind is ModeKind.EVEN_PLUS_ODD
     scale = 2.0 ** -(2 * (n - 1))
@@ -122,9 +120,7 @@ def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
         # opposite-sign pairs, each output row carrying its copy-1 sign
         raw += fwht(F[0] * F[1])
         keep = scale * float(raw.sum())
-    dim = 1 << n
-    corrections = {"identity": keep / dim, "phase_flip": keep * (dim - 1) / dim}
-    return _finish(n, raw, keep, even_keep, mode, corrections)
+    return _finish(n, raw, keep, even_keep, mode)
 
 
 def apply_step(ens: GhzDiagonalEnsemble, step: StepKind,

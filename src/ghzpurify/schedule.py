@@ -34,8 +34,11 @@ class Schedule:
                 raise ValueError(f"stop_rounds must be an integer, got {self.stop_rounds!r}")
             if not 0 <= self.stop_rounds <= MAX_ROUNDS:
                 raise ValueError(f"stop_rounds must lie in [0, {MAX_ROUNDS}]")
-        if self.stop_threshold is not None and not 0.5 < self.stop_threshold <= 1.0:
-            raise ValueError("stop_threshold must lie in (1/2, 1]")
+        if self.stop_threshold is not None:
+            if isinstance(self.stop_threshold, bool):
+                raise ValueError(f"stop_threshold must be a number, got {self.stop_threshold!r}")
+            if not 0.5 < self.stop_threshold <= 1.0:
+                raise ValueError("stop_threshold must lie in (1/2, 1]")
 
 
 @dataclass
@@ -57,7 +60,6 @@ class ScheduleTrace:
 
     rounds: list[RoundRecord]
     converged: bool
-    final_ensemble: GhzDiagonalEnsemble | None = None
     round_ensembles: list[GhzDiagonalEnsemble] = field(default_factory=list)
 
     @property
@@ -117,8 +119,7 @@ def run_schedule(initial: GhzDiagonalEnsemble, sched: Schedule,
         if sched.stop_threshold is not None and fid >= sched.stop_threshold:
             converged = True
 
-    final = ens if engine == "fast" else exact.ghz_diagonal_extract(rho)[0]
-    return ScheduleTrace(rounds, converged, final, ensembles)
+    return ScheduleTrace(rounds, converged, ensembles)
 
 
 @dataclass

@@ -197,16 +197,10 @@ def check_probability_bookkeeping(seed: int = 11, cases: int = 20) -> CheckResul
             pair = exact.tensor_pair(rho)
             total = 0.0
             for parties in range(1 << n):
-                mask = _branch_mask(n, parties)
+                mask = exact.parity_mask(n, parties)
                 total += float((pair.diagonal().real * mask).sum())
             worst = max(worst, abs(total - 1.0))
     return CheckResult("probability_bookkeeping", worst < 1e-12, worst)
-
-
-def _branch_mask(n: int, odd_parties: int) -> np.ndarray:
-    dim = 1 << n
-    idx = np.arange(dim * dim)
-    return ((idx >> n) ^ (idx & (dim - 1))) == odd_parties
 
 
 def run_validation(n_max: int = 4, seed: int = 7, cases: int = 50,

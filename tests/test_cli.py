@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -8,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import ghzpurify
+from ghzpurify import cli
 from ghzpurify.cli import (EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
                            EXIT_VALIDATION, main)
+from ghzpurify.purify import StepKind, correction_for_outcome
+from ghzpurify.validation import run_validation
 
 
 def read_csv(path):
@@ -122,6 +126,12 @@ class TestConfigErrors:
         (["validate", "--seed", "-1"], None),
         (["run", "--n", "x"], None),
         (["validate", "--n-max", "x"], None),
+        (["run"], {"stop": {"threshold": True}}),
+        (["run"], {"initial": {"type": "werner", "x": True}}),
+        (["run"], {"initial": {"type": "binary", "F": True}}),
+        (["run"], {"initial": {"type": "bitflip", "weights": [True, 0, 0, 0]}}),
+        (["run"], {"theta": True}),
+        (["run"], {"epsilon": False}),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"
@@ -186,9 +196,15 @@ class TestValidate:
         assert main(["validate", "--n-max", "3", "--cases", "5",
                      "--seed", "99"]) == EXIT_OK
 
-    def test_corrupted_p2_correction_localized(self, capsys):
-        code = main(["validate", "--n-max", "3", "--cases", "5",
-                     "--inject-corrupt-p2"])
+    def test_corrupted_p2_correction_localized(self, capsys, monkeypatch):
+        def corrupt(step, outcome):
+            if step is StepKind.P2 and outcome.count("1"):
+                return (0,)  # wrong pattern: ignores which qubits the outcome flags
+            return correction_for_outcome(step, outcome)
+
+        monkeypatch.setattr(cli, "run_validation",
+                            functools.partial(run_validation, p2_correction=corrupt))
+        code = main(["validate", "--n-max", "3", "--cases", "5"])
         assert code == EXIT_VALIDATION
         lines = capsys.readouterr().out.splitlines()
         failed = [ln for ln in lines if ln.startswith("FAIL")]

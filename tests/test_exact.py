@@ -8,7 +8,7 @@ from ghzpurify.exact import (apply_copy2_unitary, bruteforce_step,
                              measure_copy2_and_correct, p1_exact, p2_exact,
                              project_parity, tensor_pair)
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
-                           build_binary_ensemble, ensemble_to_density,
+                           build_binary_ensemble, build_werner, ensemble_to_density,
                            ghz_basis_matrix, ghz_label_to_state, hadamard_matrix,
                            is_valid_density, random_density, random_ghz_diagonal,
                            target_label)
@@ -175,6 +175,20 @@ class TestSchurAgainstBruteForce:
         want, want_keep = bruteforce_step(rho, step, mode)
         assert_allclose(out, want, rtol=0, atol=1e-12)
         assert keep == pytest.approx(want_keep, abs=1e-12)
+
+
+class TestIdealReadout:
+    """Every dense step models error-free parity readout, as the fast engine
+    does, so a misclassification probability is an error, not ignored."""
+
+    @pytest.mark.parametrize("step", [StepKind.P1, StepKind.P2])
+    def test_epsilon_is_rejected(self, step):
+        rho = ensemble_to_density(build_werner(0.8, 3))
+        noisy = DiscriminationMode.even_only(0.2)
+        with pytest.raises(ValueError, match="epsilon"):
+            exact.exact_step(rho, step, noisy)
+        with pytest.raises(ValueError, match="epsilon"):
+            bruteforce_step(rho, step, noisy)
 
 
 class TestP1Exact:

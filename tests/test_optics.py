@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ghzpurify.optics import (DiscriminationMode, KerrInteraction, ModeKind,
-                              ParityReading, ProbeBeam, ShiftClass, Verdict,
-                              classify_phase, discriminate, kerr_evolve,
-                              qnd_parity_shift, six_mode_keep)
+                              ProbeBeam, ShiftClass, Verdict, classify_phase,
+                              discriminate, kerr_evolve, qnd_parity_shift,
+                              six_mode_keep)
 
 
 class TestKerr:
@@ -112,16 +112,6 @@ class TestDiscriminate:
     def test_epsilon_bounds(self):
         with pytest.raises(ValueError):
             DiscriminationMode.even_only(epsilon=0.5)
-
-
-class TestParityReading:
-    def test_consistent(self):
-        ParityReading(ShiftClass.SHIFT_THETA, Verdict.EVEN)
-        ParityReading(ShiftClass.SHIFT_0, Verdict.ODD)
-
-    def test_inconsistent(self):
-        with pytest.raises(ValueError):
-            ParityReading(ShiftClass.SHIFT_0, Verdict.EVEN)
 
 
 class TestSixMode:

@@ -192,8 +192,3 @@ class TestStepReport:
     def test_output_normalized(self):
         rep = p1_step(bit_error(4), EVEN_ONLY)
         assert sum(rep.output.weights.values()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_corrections_mass(self):
-        rep = p1_step(bit_error(3), EVEN_ONLY)
-        assert sum(rep.corrections_applied.values()) == pytest.approx(
-            rep.keep_probability, abs=1e-12)
