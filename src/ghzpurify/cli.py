@@ -96,9 +96,11 @@ def build_initial(config: dict) -> GhzDiagonalEnsemble:
             return build_werner(_number(init["x"]), n)
         if kind == "binary":
             rep = init.get("error_rep", "1" + "0" * (n - 1))
-            sign = int(_number(init.get("error_sign", 1)))
+            sign = _number(init.get("error_sign", 1))
+            if sign not in (1.0, -1.0):
+                raise ValueError(f"error_sign must be +1 or -1, got {sign!r}")
             return build_binary_ensemble(_number(init["F"]),
-                                         canonical_label(rep, sign), n)
+                                         canonical_label(rep, int(sign)), n)
         if kind == "bitflip":
             return build_bitflip_ensemble([_number(w) for w in init["weights"]], n)
     except (LookupError, TypeError, ValueError) as err:

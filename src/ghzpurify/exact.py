@@ -74,9 +74,9 @@ def p2_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, flo
     return H @ kept @ H / keep, keep
 
 
-def exact_step(rho: np.ndarray, step: StepKind, mode: DiscriminationMode
+def exact_step(rho: np.ndarray, step: StepKind | str, mode: DiscriminationMode
                ) -> tuple[np.ndarray, float]:
-    fn = p1_exact if step is StepKind.P1 else p2_exact
+    fn = p1_exact if StepKind(step) is StepKind.P1 else p2_exact
     return fn(rho, mode)
 
 
@@ -176,13 +176,14 @@ def _kept_pair_state(rho_pair: np.ndarray, mode: DiscriminationMode
     return kept, keep
 
 
-def bruteforce_step(rho: np.ndarray, step: StepKind, mode: DiscriminationMode,
+def bruteforce_step(rho: np.ndarray, step: StepKind | str, mode: DiscriminationMode,
                     correction=correction_for_outcome) -> tuple[np.ndarray, float]:
     """The step on the full rho (x) rho, with an injectable correction table.
 
     P2 runs the P1 operations in the Hadamard frame.  O(16^n): validation only.
     """
     check_ideal_readout(mode)
+    step = StepKind(step)
     H = hadamard_matrix(num_qubits(rho))
     if step is StepKind.P2:
         rho = H @ rho @ H

@@ -191,7 +191,7 @@ def ensemble_to_density(ens: GhzDiagonalEnsemble) -> np.ndarray:
 @lru_cache(maxsize=None)
 def hadamard_matrix(n: int) -> np.ndarray:
     """H^(x)n as a dense 2^n x 2^n matrix, read-only: every caller shares it."""
-    H = reduce(np.kron, [_H1] * n)
+    H = reduce(np.kron, [_H1] * n, np.ones((1, 1), dtype=complex))
     H.flags.writeable = False
     return H
 
@@ -210,18 +210,40 @@ def hadamard_all(obj: np.ndarray) -> np.ndarray:
     raise ValueError("expected a vector or a square matrix")
 
 
+FWHT_RADIX = 32
+
+
+@lru_cache(maxsize=None)
+def _sylvester(r: int) -> np.ndarray:
+    """The r x r Sylvester matrix, entries (-1)^popcount(i & j), read-only."""
+    S = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * (r.bit_length() - 1),
+               np.ones((1, 1)))
+    S.flags.writeable = False
+    return S
+
+
 def fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis (length 2^k):
-    out[..., j] = sum_x (-1)^popcount(j & x) a[..., x]."""
-    out = np.array(a, dtype=float)
-    h = 1
-    while h < out.shape[-1]:
-        v = out.reshape(out.shape[:-1] + (-1, 2, h))
-        lo, hi = v[..., 0, :], v[..., 1, :]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
-        h *= 2
+    out[..., j] = sum_x (-1)^popcount(j & x) a[..., x].
+
+    Each pass applies the Sylvester matrix of order r <= FWHT_RADIX to r
+    strided elements at a time, so a length of 2^k takes ceil(k / 5) matrix
+    products instead of k butterfly passes.
+    """
+    out = np.asarray(a, dtype=float)
+    m = out.shape[-1] if out.ndim else 0
+    if m < 1 or m & (m - 1):
+        raise ValueError(f"fwht needs a last axis whose length is a power of two, "
+                         f"got shape {out.shape}")
+    # The first pass is one right product over every row (S is symmetric);
+    # it also gives a fresh array when m = 1.
+    r = min(FWHT_RADIX, m)
+    out = (out.reshape(-1, r) @ _sylvester(r)).reshape(out.shape)
+    h = r
+    while h < m:
+        r = min(FWHT_RADIX, m // h)
+        out = (_sylvester(r) @ out.reshape(-1, r, h)).reshape(out.shape)
+        h *= r
     return out
 
 

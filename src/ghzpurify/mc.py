@@ -36,7 +36,7 @@ def _support_samples(reps: np.ndarray, signs: np.ndarray, n: int,
     return np.where(signs == 1, even_strings[idx], odd_strings[idx])
 
 
-def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind,
+def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
                    mode: DiscriminationMode, trials: int, seed: int) -> StepReport:
     """Empirical StepReport from `trials` sampled copy pairs.
 
@@ -47,6 +47,7 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    step = StepKind(step)
     n = ens.n_qubits
     full = (1 << n) - 1
     rng = np.random.default_rng(seed)

@@ -123,6 +123,6 @@ def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
     return _finish(n, raw, keep, even_keep, mode)
 
 
-def apply_step(ens: GhzDiagonalEnsemble, step: StepKind,
+def apply_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
                mode: DiscriminationMode) -> StepReport:
-    return p1_step(ens, mode) if step is StepKind.P1 else p2_step(ens, mode)
+    return p1_step(ens, mode) if StepKind(step) is StepKind.P1 else p2_step(ens, mode)

@@ -27,6 +27,8 @@ class Schedule:
     def __post_init__(self):
         if not self.steps:
             raise ValueError("schedule needs at least one step")
+        # a step given by name ("P1") runs that step; an unknown name raises
+        object.__setattr__(self, "steps", tuple(StepKind(s) for s in self.steps))
         if (self.stop_rounds is None) == (self.stop_threshold is None):
             raise ValueError("specify exactly one of stop_rounds, stop_threshold")
         if self.stop_rounds is not None:
@@ -80,7 +82,10 @@ def run_schedule(initial: GhzDiagonalEnsemble, sched: Schedule,
     """Apply the schedule's steps cyclically until its stop condition.
 
     With a threshold stop, hitting MAX_ROUNDS first yields converged=False
-    rather than an exception.
+    rather than an exception.  Once a whole cycle returns the state (the
+    ensemble, or rho on the exact engine) to its bits at the cycle's start,
+    every later cycle repeats it bit for bit, so its rounds are replayed from
+    the records instead of recomputed.
     """
     if engine not in ("fast", "exact"):
         raise ValueError(f"engine must be 'fast' or 'exact', got {engine!r}")
@@ -95,6 +100,9 @@ def run_schedule(initial: GhzDiagonalEnsemble, sched: Schedule,
     cum_yield = 1.0
     converged = sched.stop_threshold is not None and fid >= sched.stop_threshold
 
+    period = len(sched.steps)
+    cycle_start = None   # the state at the last cycle boundary
+    repeating = False
     k = 0
     while not converged:
         if sched.stop_rounds is not None and k >= sched.stop_rounds:
@@ -102,8 +110,15 @@ def run_schedule(initial: GhzDiagonalEnsemble, sched: Schedule,
             break
         if sched.stop_threshold is not None and k >= MAX_ROUNDS:
             break
-        step = sched.steps[k % len(sched.steps)]
-        if engine == "fast":
+        step = sched.steps[k % period]
+        if k % period == 0 and not repeating:
+            state = ens.W if engine == "fast" else rho
+            repeating = cycle_start is not None and np.array_equal(state, cycle_start)
+            cycle_start = state
+        if repeating:
+            prev = rounds[k + 1 - period]
+            fid, keep = prev.fidelity, prev.keep_probability
+        elif engine == "fast":
             report = apply_step(ens, step, sched.mode)
             ens = report.output
             fid = ensemble_fidelity(ens)
@@ -115,7 +130,9 @@ def run_schedule(initial: GhzDiagonalEnsemble, sched: Schedule,
         cum_yield *= keep / 2.0
         rounds.append(RoundRecord(k, step.value, fid, keep, cum_yield))
         if record_ensembles:
-            ensembles.append(ens if engine == "fast" else exact.ghz_diagonal_extract(rho)[0])
+            ensembles.append(ensembles[k - period] if repeating else
+                             ens if engine == "fast" else
+                             exact.ghz_diagonal_extract(rho)[0])
         if sched.stop_threshold is not None and fid >= sched.stop_threshold:
             converged = True
 

@@ -12,13 +12,25 @@ import ghzpurify
 from ghzpurify import cli
 from ghzpurify.cli import (EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
                            EXIT_VALIDATION, main)
+from ghzpurify.ghz import build_binary_ensemble, canonical_label
+from ghzpurify.optics import DiscriminationMode
 from ghzpurify.purify import StepKind, correction_for_outcome
+from ghzpurify.schedule import Schedule, run_schedule
 from ghzpurify.validation import run_validation
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def run_module(*argv):
+    """python -m ghzpurify in a fresh process, on this checkout's package."""
+    src = str(Path(ghzpurify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "ghzpurify", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestRun:
@@ -132,6 +144,7 @@ class TestConfigErrors:
         (["run"], {"initial": {"type": "bitflip", "weights": [True, 0, 0, 0]}}),
         (["run"], {"theta": True}),
         (["run"], {"epsilon": False}),
+        (["run"], {"initial": {"type": "binary", "F": 0.8, "error_sign": -1.7}}),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"
@@ -180,6 +193,25 @@ class TestSweep:
         code = main(["sweep", "--grid", "", "--outdir", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    def test_plateauing_sweep_is_deterministic(self, tmp_path):
+        # Most of this grid plateaus below the threshold and replays its
+        # repeating cycle up to MAX_ROUNDS.
+        args = ["sweep", "--param", "F", "--n", "6", "--schedule", "P2,P1",
+                "--threshold", "0.99", "--grid", "0.55:0.98:0.0143"]
+        for out in ("a", "b"):
+            proc = run_module(*args, "--outdir", str(tmp_path / out))
+            assert proc.returncode == EXIT_OK, proc.stderr
+        csv_a = (tmp_path / "a/sweep.csv").read_bytes()
+        assert csv_a == (tmp_path / "b/sweep.csv").read_bytes()
+        sched = Schedule((StepKind.P2, StepKind.P1), DiscriminationMode.even_only(),
+                         stop_threshold=0.99)
+        error = canonical_label("100000", +1)
+        rows = read_csv(tmp_path / "a/sweep.csv")[1:]
+        assert len(rows) == 31
+        for row in rows:
+            trace = run_schedule(build_binary_ensemble(float(row[0]), error, 6), sched)
+            assert int(row[2]) == trace.n_rounds
+
 
 class TestValidate:
     def test_default_passes(self, capsys):
@@ -215,11 +247,6 @@ class TestValidate:
         assert main(["validate", "--n-max", "6"]) == EXIT_CONFIG
 
     def test_python_dash_m_entry_point(self):
-        src = str(Path(ghzpurify.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-m", "ghzpurify", "validate",
-                               "--n-max", "2", "--cases", "1"],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = run_module("validate", "--n-max", "2", "--cases", "1")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "PASS oracle_equivalence" in proc.stdout

@@ -191,6 +191,25 @@ class TestIdealReadout:
             bruteforce_step(rho, step, noisy)
 
 
+class TestStepByName:
+    @pytest.mark.parametrize("step", ["P1", "P2"])
+    def test_name_runs_the_named_step(self, step):
+        rho = ensemble_to_density(build_binary_ensemble(0.8, GhzLabel("011", 1), 3))
+        for fn in (exact.exact_step, bruteforce_step):
+            out, keep = fn(rho, step, EVEN_ONLY)
+            want, want_keep = fn(rho, StepKind(step), EVEN_ONLY)
+            assert keep == want_keep
+            assert np.array_equal(out, want)
+        assert exact.exact_step(rho, "P1", EVEN_ONLY)[1] == pytest.approx(0.34, abs=1e-15)
+
+    def test_unknown_name_raises(self):
+        rho = ensemble_to_density(build_werner(0.8, 3))
+        with pytest.raises(ValueError):
+            exact.exact_step(rho, "P3", EVEN_ONLY)
+        with pytest.raises(ValueError):
+            bruteforce_step(rho, "P3", EVEN_ONLY)
+
+
 class TestP1Exact:
     def test_binary_example(self):
         rho = ensemble_to_density(build_binary_ensemble(0.8, GhzLabel("011", 1), 3))

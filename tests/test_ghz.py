@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            build_binary_ensemble, build_bitflip_ensemble,
                            build_werner, canonical_label, complement,
-                           ensemble_fidelity, ensemble_to_density,
+                           ensemble_fidelity, ensemble_to_density, fwht,
                            ghz_basis_matrix, ghz_label_to_state, hadamard_all,
                            hadamard_matrix, is_valid_density,
                            random_ghz_diagonal, target_label)
@@ -194,3 +194,27 @@ class TestHadamard:
         with pytest.raises(ValueError):
             H[0, 0] = 0.0
         assert_allclose(H @ H, np.eye(8), atol=1e-12)
+
+
+class TestFwht:
+    @pytest.mark.parametrize("k", range(11))
+    def test_matches_the_sylvester_matrix(self, k):
+        S = np.rint(hadamard_matrix(k).real * 2 ** (k / 2))
+        # each row of the identity picks out one column: exact +-1 entries
+        assert np.array_equal(fwht(np.eye(1 << k)), S)
+        a = np.random.default_rng(k).normal(size=(3, 2, 1 << k))
+        assert_allclose(fwht(a), a @ S, rtol=1e-12, atol=1e-12 * (1 << k))
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 6, 11])
+    def test_involution_up_to_scale_and_input_untouched(self, k):
+        a = np.random.default_rng(k).normal(size=(3, 2, 1 << k))
+        before = a.copy()
+        out = fwht(a)
+        assert np.array_equal(a, before)
+        assert out is not a
+        assert_allclose(fwht(out), (1 << k) * a, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 6), (0,), ()])
+    def test_rejects_a_length_that_is_not_a_power_of_two(self, shape):
+        with pytest.raises(ValueError, match="power of two"):
+            fwht(np.ones(shape))

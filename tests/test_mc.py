@@ -74,6 +74,19 @@ class TestDeterminism:
         assert a.keep_probability != b.keep_probability
 
 
+class TestStepByName:
+    @pytest.mark.parametrize("step", ["P1", "P2"])
+    def test_name_runs_the_named_step(self, step):
+        a = mc_sample_step(bit_error(), step, EVEN_ONLY, 20_000, seed=5)
+        b = mc_sample_step(bit_error(), StepKind(step), EVEN_ONLY, 20_000, seed=5)
+        assert a.keep_probability == b.keep_probability
+        assert np.array_equal(a.output.W, b.output.W)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ValueError):
+            mc_sample_step(bit_error(), "P3", EVEN_ONLY, 1_000, seed=5)
+
+
 class TestMisclassification:
     def test_epsilon_shifts_keep_rate(self):
         # Symmetric verdict flips lose ~3*eps of the even branch and gain

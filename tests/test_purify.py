@@ -192,3 +192,23 @@ class TestStepReport:
     def test_output_normalized(self):
         rep = p1_step(bit_error(4), EVEN_ONLY)
         assert sum(rep.output.weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStepByName:
+    """A step given by its name runs that step."""
+
+    @pytest.mark.parametrize("step", ["P1", "P2"])
+    def test_name_runs_the_named_step(self, step):
+        by_name = apply_step(bit_error(3), step, EVEN_ONLY)
+        by_kind = apply_step(bit_error(3), StepKind(step), EVEN_ONLY)
+        assert by_name.keep_probability == by_kind.keep_probability
+        assert np.array_equal(by_name.output.W, by_kind.output.W)
+
+    def test_p1_by_name_keeps_p1s_share(self):
+        # F^2 + (1 - F)^2 of the pairs, half of them on the even branch
+        keep = apply_step(bit_error(3), "P1", EVEN_ONLY).keep_probability
+        assert keep == pytest.approx(0.34, abs=1e-15)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ValueError):
+            apply_step(bit_error(3), "P3", EVEN_ONLY)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from ghzpurify import schedule
+from ghzpurify.exact import (exact_step, fidelity_to_target,
+                             ghz_diagonal_extract)
 from ghzpurify.ghz import (GhzLabel, build_binary_ensemble, build_werner,
-                           ensemble_fidelity)
+                           canonical_label, ensemble_fidelity,
+                           ensemble_to_density)
 from ghzpurify.optics import DiscriminationMode
-from ghzpurify.purify import StepKind
-from ghzpurify.schedule import (MAX_ROUNDS, Schedule, compare_orderings,
-                                run_schedule, sweep)
+from ghzpurify.purify import StepKind, apply_step
+from ghzpurify.schedule import (MAX_ROUNDS, RoundRecord, Schedule,
+                                compare_orderings, run_schedule, sweep)
 
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()
@@ -14,10 +18,42 @@ SIX_MODE = DiscriminationMode.six_mode_pbs()
 
 P1 = (StepKind.P1,)
 P1P2 = (StepKind.P1, StepKind.P2)
+P2P1 = (StepKind.P2, StepKind.P1)
+P1P2P2 = (StepKind.P1, StepKind.P2, StepKind.P2)
 
 
 def bit_error(F=0.8, n=3):
     return build_binary_ensemble(F, GhzLabel("0" + "1" * (n - 1), +1), n)
+
+
+def flip_on_qubit_1(F, n):
+    """The binary input of a sweep over F."""
+    return build_binary_ensemble(F, canonical_label("1" + "0" * (n - 1), +1), n)
+
+
+def stepwise(initial, sched, engine="fast"):
+    """run_schedule's records and ensembles with every round computed."""
+    ens, rho = initial, ensemble_to_density(initial)
+    fid = ensemble_fidelity(initial)
+    rounds, ensembles = [RoundRecord(0, "-", fid, 1.0, 1.0)], [initial]
+    cum_yield = 1.0
+    stop = MAX_ROUNDS if sched.stop_rounds is None else sched.stop_rounds
+    for k in range(stop):
+        if sched.stop_threshold is not None and fid >= sched.stop_threshold:
+            break
+        step = sched.steps[k % len(sched.steps)]
+        if engine == "fast":
+            report = apply_step(ens, step, sched.mode)
+            ens, keep = report.output, report.keep_probability
+            fid = ensemble_fidelity(ens)
+        else:
+            rho, keep = exact_step(rho, step, sched.mode)
+            fid = fidelity_to_target(rho)
+            ens = ghz_diagonal_extract(rho)[0]
+        cum_yield *= keep / 2.0
+        rounds.append(RoundRecord(k + 1, step.value, fid, keep, cum_yield))
+        ensembles.append(ens)
+    return rounds, ensembles
 
 
 class TestScheduleType:
@@ -34,6 +70,18 @@ class TestScheduleType:
     def test_threshold_range(self):
         with pytest.raises(ValueError):
             Schedule(P1, EVEN_ONLY, stop_threshold=0.4)
+
+    def test_step_names_run_the_named_steps(self):
+        sched = Schedule(("P1", "P2"), EVEN_ONLY, stop_rounds=3)
+        assert sched.steps == P1P2
+        by_name = run_schedule(bit_error(), sched)
+        assert by_name.rounds == run_schedule(
+            bit_error(), Schedule(P1P2, EVEN_ONLY, stop_rounds=3)).rounds
+        assert [r.step for r in by_name.rounds] == ["-", "P1", "P2", "P1"]
+
+    def test_unknown_step_name(self):
+        with pytest.raises(ValueError):
+            Schedule(("P3",), EVEN_ONLY, stop_rounds=2)
 
 
 class TestRunSchedule:
@@ -110,6 +158,43 @@ class TestRunSchedule:
         assert len(trace.round_ensembles) == 3
         assert ensemble_fidelity(trace.round_ensembles[-1]) == pytest.approx(
             trace.final_fidelity)
+
+
+class TestCycleReplay:
+    """Rounds after a cycle that returns the state to its own start are
+    replayed; they must equal the rounds computed step by step."""
+
+    @pytest.mark.parametrize("initial, steps, stop, engine", [
+        (flip_on_qubit_1(0.6, 6), P2P1, {"stop_threshold": 0.99}, "fast"),
+        (build_werner(0.8, 3), P1, {"stop_threshold": 0.99}, "fast"),
+        (flip_on_qubit_1(0.6, 6), P1P2P2, {"stop_threshold": 0.99}, "fast"),
+        # stops mid-cycle, after the replay has begun
+        (flip_on_qubit_1(0.6, 6), P2P1, {"stop_rounds": 41}, "fast"),
+        (flip_on_qubit_1(0.6, 4), P1P2P2, {"stop_rounds": 50}, "fast"),
+        (flip_on_qubit_1(0.6, 5), P2P1, {"stop_threshold": 0.99}, "exact"),
+        (build_werner(0.8, 3), P1, {"stop_rounds": 30}, "exact"),
+    ])
+    def test_equals_the_stepwise_loop(self, initial, steps, stop, engine):
+        sched = Schedule(steps, EVEN_ONLY, **stop)
+        trace = run_schedule(initial, sched, engine, record_ensembles=True)
+        rounds, ensembles = stepwise(initial, sched, engine)
+        assert trace.rounds == rounds
+        assert len(trace.round_ensembles) == len(ensembles)
+        for got, want in zip(trace.round_ensembles, ensembles):
+            assert np.array_equal(got.W, want.W)
+
+    def test_plateau_calls_fewer_steps_than_rounds(self, monkeypatch):
+        calls = []
+
+        def counting(ens, step, mode):
+            calls.append(step)
+            return apply_step(ens, step, mode)
+
+        monkeypatch.setattr(schedule, "apply_step", counting)
+        sched = Schedule(P2P1, EVEN_ONLY, stop_threshold=0.99)
+        trace = run_schedule(flip_on_qubit_1(0.6, 6), sched)
+        assert trace.n_rounds == MAX_ROUNDS and not trace.converged
+        assert len(calls) < MAX_ROUNDS
 
 
 class TestSweep:
