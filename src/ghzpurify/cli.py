@@ -40,6 +40,7 @@ _DEFAULT_CONFIG = {
 _KNOWN_KEYS = set(_DEFAULT_CONFIG) | {"grid"}
 
 MAX_GRID_POINTS = 10_000
+MAX_VALIDATE_CASES = 10_000
 
 
 class ConfigError(Exception):
@@ -186,10 +187,12 @@ def _common_flags(parser):
     parser.add_argument("--theta", type=float)
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--engine", choices=["fast", "exact"])
-    parser.add_argument("--threshold", type=float)
-    parser.add_argument("--rounds", type=int)
-    parser.add_argument("--x", type=float, help="Werner parameter")
-    parser.add_argument("--F", type=float, help="binary-ensemble fidelity")
+    stop = parser.add_mutually_exclusive_group()
+    stop.add_argument("--threshold", type=float)
+    stop.add_argument("--rounds", type=int)
+    initial = parser.add_mutually_exclusive_group()
+    initial.add_argument("--x", type=float, help="Werner parameter")
+    initial.add_argument("--F", type=float, help="binary-ensemble fidelity")
 
 
 def _overrides_from(args) -> dict:
@@ -255,6 +258,8 @@ def cmd_sweep(args) -> int:
             and all(type(v) in (int, float) for v in values)):
         raise ConfigError("sweep needs a nonempty grid of numbers "
                           "({\"param\": \"x\"|\"F\", \"values\": [...]})")
+    if len(values) > MAX_GRID_POINTS:
+        raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
     sched = build_schedule(config)
     try:
         rows = sweep(grid["param"], grid["values"], config["n_qubits"], sched,
@@ -279,8 +284,8 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     if not 2 <= args.n_max <= MAX_QUBITS_EXACT:
         raise ConfigError(f"--n-max must lie in [2, {MAX_QUBITS_EXACT}]")
-    if args.cases < 1:
-        raise ConfigError("--cases must be at least 1")
+    if not 1 <= args.cases <= MAX_VALIDATE_CASES:
+        raise ConfigError(f"--cases must lie in [1, {MAX_VALIDATE_CASES}]")
     if args.seed < 0:
         raise ConfigError("--seed must be nonnegative")
     results = run_validation(args.n_max, args.seed, args.cases)

@@ -62,14 +62,15 @@ def target_label(n: int) -> GhzLabel:
     return GhzLabel("0" * n, +1)
 
 
+@lru_cache(maxsize=None)
+def _label_tuple(n: int) -> tuple[GhzLabel, ...]:
+    return tuple(GhzLabel(format(r, f"0{n}b"), sign)
+                 for r in range(1 << (n - 1)) for sign in (+1, -1))
+
+
 def all_labels(n: int) -> list[GhzLabel]:
     """All 2^n GHZ labels in deterministic (rep, +1 before -1) order."""
-    labels = []
-    for r in range(1 << (n - 1)):
-        rep = format(r, f"0{n}b")
-        labels.append(GhzLabel(rep, +1))
-        labels.append(GhzLabel(rep, -1))
-    return labels
+    return list(_label_tuple(n))
 
 
 def ghz_label_to_state(label: GhzLabel, n: int) -> np.ndarray:
@@ -117,7 +118,7 @@ class GhzDiagonalEnsemble:
         """Read-only mapping of the nonzero weights keyed by GhzLabel."""
         flat = self.W.T.ravel().tolist()   # all_labels order
         return MappingProxyType({label: w for label, w in
-                                 zip(all_labels(self.n_qubits), flat) if w > 0.0})
+                                 zip(_label_tuple(self.n_qubits), flat) if w > 0.0})
 
     def weight(self, label: GhzLabel) -> float:
         if label.n_qubits != self.n_qubits:

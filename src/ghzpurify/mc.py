@@ -1,11 +1,12 @@
 """Monte Carlo cross-check: stochastic sampling of purification steps.
 
-Label pairs are drawn from the ensemble, each copy is collapsed to one of
+Label pairs are drawn from the ensemble, and each copy is collapsed to one of
 its computational-basis support strings (for P2, to a Hadamard-frame support
-string), and the per-party parity verdicts are simulated, including optional
-homodyne misclassification.  The per-party verdict logic mirrors
-optics.qnd_parity_shift + optics.discriminate in vectorized form (the
-equivalence is asserted in the test suite).
+string).  A trial's verdict is one n-bit parity pattern, one bit per party,
+set when that party reads odd: the true pattern z = x xor y, each bit flipped
+with probability epsilon by homodyne misclassification (not under six-mode
+PBS).  The trial is kept when the pattern reads all even, or all odd under
+even-plus-odd.
 """
 from __future__ import annotations
 
@@ -65,20 +66,14 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     y = _support_samples(reps[i2], signs[i2], n, step, rng)
     z = x ^ y
 
-    if mode.kind is ModeKind.SIX_MODE_PBS:
-        # Photon-number post-selection; the scalar epsilon does not apply.
-        kept = z == 0
-        all_even = kept
-        all_odd = np.zeros_like(kept)
-    else:
-        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-        odd_party = ((z[:, None] >> shifts[None, :]) & 1).astype(bool)
-        eps = mode.misclassification_probability
-        if eps > 0.0:
-            odd_party = odd_party ^ (rng.random((trials, n)) < eps)
-        all_even = ~odd_party.any(axis=1)
-        all_odd = odd_party.all(axis=1)
-        kept = all_even | (all_odd if mode.kind is ModeKind.EVEN_PLUS_ODD else False)
+    read = z
+    eps = mode.misclassification_probability
+    if eps > 0.0 and mode.kind is not ModeKind.SIX_MODE_PBS:
+        # Party k (qubit k, the bit of weight 2^(n-1-k)) misreads with
+        # probability eps; photon-number post-selection has no such error.
+        misread = rng.random((trials, n)) < eps
+        read = z ^ (misread @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64)))
+    kept = (read == 0) | ((read == full) & (mode.kind is ModeKind.EVEN_PLUS_ODD))
 
     n_kept = int(kept.sum())
     spurious_count = n_kept - int((kept & ((z == 0) | (z == full))).sum())
@@ -98,9 +93,5 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     counts = np.bincount(out_rep * 2 + (out_sign == -1), minlength=1 << n)
     output = GhzDiagonalEnsemble(n, counts.reshape(-1, 2).T / n_kept)
 
-    stats = {("E" * n, "*"): float((all_even & kept).sum()) / trials}
-    if mode.kind is ModeKind.EVEN_PLUS_ODD:
-        stats[("O" * n, "*")] = float((all_odd & kept).sum()) / trials
-    if spurious_count:
-        stats[("spurious", "*")] = spurious_count / trials
+    stats = {("spurious", "*"): spurious_count / trials} if spurious_count else {}
     return StepReport(output, n_kept / trials, stats)

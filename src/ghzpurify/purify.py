@@ -39,10 +39,10 @@ class StepKind(str, Enum):
 
 @dataclass
 class StepReport:
-    """Output ensemble plus bookkeeping for one purification step.
+    """Output ensemble and keep probability of one purification step.
 
-    branch_stats maps (parity verdict pattern, "*") to the probability of
-    that kept branch, summed over measurement outcomes.
+    branch_stats is filled by the Monte Carlo only: ("spurious", "*") holds
+    the share of trials kept on a misread verdict, when it is nonzero.
     """
 
     output: GhzDiagonalEnsemble
@@ -74,29 +74,22 @@ def check_ideal_readout(mode: DiscriminationMode):
                          "use mc_sample_step for noisy readout")
 
 
-def _finish(n: int, raw: np.ndarray, keep: float, even_keep: float,
-            mode: DiscriminationMode) -> StepReport:
+def _finish(n: int, raw: np.ndarray, keep: float) -> StepReport:
     """raw holds the kept mass of each output label up to one positive factor."""
     if keep < MIN_KEEP:
         raise ValueError("keep probability underflowed; input is not purifiable")
-    stats = {("E" * n, "*"): even_keep}
-    if mode.kind is ModeKind.EVEN_PLUS_ODD:
-        stats[("O" * n, "*")] = keep - even_keep
-    return StepReport(GhzDiagonalEnsemble(n, raw / raw.sum()), keep, stats)
+    return StepReport(GhzDiagonalEnsemble(n, raw / raw.sum()), keep)
 
 
 def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
     """Bit-flip correction on two independent copies of the ensemble."""
     check_ideal_readout(mode)
-    n = ens.n_qubits
-    both = mode.kind is ModeKind.EVEN_PLUS_ODD
+    branches = 2 if mode.kind is ModeKind.EVEN_PLUS_ODD else 1
     wp, wm = ens.W
     # Equal-rep pairs pass each kept branch with probability 1/2 and leave
     # (e, s1*s2); the output does not depend on how many branches are kept.
     raw = np.stack((wp * wp + wm * wm, 2.0 * wp * wm))
-    even_keep = 0.5 * float(raw.sum())
-    keep = 2.0 * even_keep if both else even_keep
-    return _finish(n, raw, keep, even_keep, mode)
+    return _finish(ens.n_qubits, raw, 0.5 * branches * float(raw.sum()))
 
 
 def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
@@ -108,19 +101,14 @@ def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
     check_ideal_readout(mode)
     n = ens.n_qubits
     both = mode.kind is ModeKind.EVEN_PLUS_ODD
-    scale = 2.0 ** -(2 * (n - 1))
     F = fwht(ens.W)
     raw = fwht(F * F)
-    even_keep = scale * float(raw.sum())
-    keep = even_keep
-    if both and n % 2 == 0:
-        # the all-odd branch mirrors the all-even one exactly
-        keep = 2.0 * even_keep
-    elif both:
+    if both and n % 2 == 1:
         # opposite-sign pairs, each output row carrying its copy-1 sign
         raw += fwht(F[0] * F[1])
-        keep = scale * float(raw.sum())
-    return _finish(n, raw, keep, even_keep, mode)
+    # for even n the all-odd branch mirrors the all-even one exactly
+    branches = 2 if both and n % 2 == 0 else 1
+    return _finish(n, raw, branches * 2.0 ** -(2 * (n - 1)) * float(raw.sum()))
 
 
 def apply_step(ens: GhzDiagonalEnsemble, step: StepKind | str,

@@ -2,6 +2,7 @@
 and ordering comparisons."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,7 +219,7 @@ def compare_orderings(initial: GhzDiagonalEnsemble, orderings: list[Schedule],
     ties_rounds = [(i, j) for a, i in enumerate(idx) for j in idx[a + 1:]
                    if rounds_key(i) == rounds_key(j)]
     ties_yield = [(i, j) for a, i in enumerate(idx) for j in idx[a + 1:]
-                  if np.isclose(summaries[i].cumulative_yield,
-                                summaries[j].cumulative_yield, rtol=0, atol=1e-15)
+                  if math.isclose(summaries[i].cumulative_yield,
+                                  summaries[j].cumulative_yield, rel_tol=1e-12)
                   and summaries[i].converged == summaries[j].converged]
     return OrderingComparison(summaries, by_rounds, by_yield, ties_rounds, ties_yield)

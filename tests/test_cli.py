@@ -11,7 +11,8 @@ import pytest
 import ghzpurify
 from ghzpurify import cli
 from ghzpurify.cli import (EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
-                           EXIT_VALIDATION, main)
+                           EXIT_VALIDATION, MAX_GRID_POINTS, MAX_VALIDATE_CASES,
+                           main)
 from ghzpurify.ghz import build_binary_ensemble, canonical_label
 from ghzpurify.optics import DiscriminationMode
 from ghzpurify.purify import StepKind, correction_for_outcome
@@ -145,6 +146,11 @@ class TestConfigErrors:
         (["run"], {"theta": True}),
         (["run"], {"epsilon": False}),
         (["run"], {"initial": {"type": "binary", "F": 0.8, "error_sign": -1.7}}),
+        (["run", "--x", "0.8", "--F", "0.9"], None),
+        (["run", "--threshold", "0.99", "--rounds", "2"], None),
+        (["sweep", "--grid", ",".join(["0.8"] * (MAX_GRID_POINTS + 1))], None),
+        (["sweep"], {"grid": {"param": "x", "values": [0.8] * (MAX_GRID_POINTS + 1)}}),
+        (["validate", "--cases", str(MAX_VALIDATE_CASES + 1)], None),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"

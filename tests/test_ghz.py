@@ -39,6 +39,12 @@ class TestLabels:
             assert len(labels) == 1 << n
             assert len(set(labels)) == 1 << n
 
+    def test_label_list_is_a_fresh_copy(self):
+        labels = all_labels(3)
+        labels.clear()
+        assert all_labels(3)[:2] == [GhzLabel("000", +1), GhzLabel("000", -1)]
+        assert len(all_labels(3)) == 8
+
     def test_canonicalization_preserves_state_up_to_phase(self):
         # States built from j and ~j with the same sign agree up to phase.
         for n in (2, 3, 4):

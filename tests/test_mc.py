@@ -115,6 +115,20 @@ class TestMisclassification:
             assert abs(ensemble_fidelity(noisy.output) - fid) < binomial_3sigma(
                 fid, kept)
 
+    def test_even_plus_odd_doubles_the_noisy_keep(self):
+        # An all-odd reading of pattern z is as likely as an all-even reading
+        # of ~z, so keeping both doubles the even-only keep rate above.
+        ens = bit_error()
+        for eps in (0.05, 0.2):
+            noisy = mc_sample_step(ens, StepKind.P1,
+                                   DiscriminationMode.even_plus_odd(epsilon=eps),
+                                   TRIALS, seed=24)
+            expected = (0.68 * ((1 - eps) ** 3 + eps ** 3)
+                        + 0.32 * (eps ** 2 * (1 - eps) + eps * (1 - eps) ** 2))
+            assert abs(noisy.keep_probability - expected) < binomial_3sigma(
+                expected, TRIALS)
+            assert noisy.branch_stats.get(("spurious", "*"), 0.0) > 0.0
+
     def test_epsilon_produces_spurious_keeps(self):
         ens = bit_error()
         noisy = mc_sample_step(ens, StepKind.P1,

@@ -182,13 +182,6 @@ class TestCorrections:
 
 
 class TestStepReport:
-    def test_branch_stats_sum_to_keep(self):
-        for mode in (EVEN_ONLY, EVEN_PLUS_ODD):
-            for step in (StepKind.P1, StepKind.P2):
-                rep = apply_step(bit_error(3), step, mode)
-                assert sum(rep.branch_stats.values()) == pytest.approx(
-                    rep.keep_probability, abs=1e-12)
-
     def test_output_normalized(self):
         rep = p1_step(bit_error(4), EVEN_ONLY)
         assert sum(rep.output.weights.values()) == pytest.approx(1.0, abs=1e-12)

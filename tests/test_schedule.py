@@ -244,6 +244,15 @@ class TestCompareOrderings:
         assert (0, 1) in cmp.ties_rounds
         assert (0, 1) in cmp.ties_yield
 
+    def test_yields_orders_of_magnitude_apart_do_not_tie(self):
+        # Both yields are far below any absolute tolerance of 1e-15.
+        s1 = Schedule(P1, EVEN_ONLY, stop_rounds=40)
+        s2 = Schedule((StepKind.P2,), EVEN_ONLY, stop_rounds=40)
+        cmp = compare_orderings(build_werner(0.8, 3), [s1, s2])
+        y1, y2 = (s.cumulative_yield for s in cmp.summaries)
+        assert y1 > 1e6 * y2 > 0.0
+        assert cmp.ties_yield == []
+
     def test_nonconvergent_ranks_last(self):
         good = Schedule(P1P2, EVEN_ONLY, stop_threshold=0.99)
         bad = Schedule(P1, EVEN_ONLY, stop_threshold=0.99)
