@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -31,13 +30,14 @@ _DEFAULT_CONFIG = {
     "initial": {"type": "werner", "x": 0.8},
     "schedule": ["P1", "P2"],
     "mode": "even-only",
-    "theta": math.pi,
     "epsilon": 0.0,
     "engine": "fast",
     "stop": {"threshold": 0.99},
 }
 
 _KNOWN_KEYS = set(_DEFAULT_CONFIG) | {"grid"}
+_INITIAL_KEYS = {"werner": {"x"}, "binary": {"F", "error_rep", "error_sign"},
+                 "bitflip": {"weights"}}
 
 MAX_GRID_POINTS = 10_000
 MAX_VALIDATE_CASES = 10_000
@@ -92,6 +92,11 @@ def build_initial(config: dict) -> GhzDiagonalEnsemble:
     if not isinstance(init, dict) or "type" not in init:
         raise ConfigError("field 'initial' must be an object with a 'type'")
     kind = init["type"]
+    if not isinstance(kind, str) or kind not in _INITIAL_KEYS:
+        raise ConfigError(f"initial.type must be werner|binary|bitflip, got {kind!r}")
+    unknown = set(init) - {"type"} - _INITIAL_KEYS[kind]
+    if unknown:
+        raise ConfigError(f"unknown fields in 'initial': {sorted(unknown)}")
     try:
         if kind == "werner":
             return build_werner(_number(init["x"]), n)
@@ -102,11 +107,9 @@ def build_initial(config: dict) -> GhzDiagonalEnsemble:
                 raise ValueError(f"error_sign must be +1 or -1, got {sign!r}")
             return build_binary_ensemble(_number(init["F"]),
                                          canonical_label(rep, int(sign)), n)
-        if kind == "bitflip":
-            return build_bitflip_ensemble([_number(w) for w in init["weights"]], n)
+        return build_bitflip_ensemble([_number(w) for w in init["weights"]], n)
     except (LookupError, TypeError, ValueError) as err:
         raise ConfigError(f"field 'initial': {err}")
-    raise ConfigError(f"initial.type must be werner|binary|bitflip, got {kind!r}")
 
 
 def build_schedule(config: dict) -> Schedule:
@@ -115,11 +118,9 @@ def build_schedule(config: dict) -> Schedule:
     except (TypeError, ValueError) as err:
         raise ConfigError(f"field 'schedule': {err}")
     try:
-        mode = DiscriminationMode(ModeKind(config["mode"]),
-                                  _number(config["epsilon"]),
-                                  _number(config["theta"]))
+        mode = DiscriminationMode(ModeKind(config["mode"]), _number(config["epsilon"]))
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"field 'mode'/'theta'/'epsilon': {err}")
+        raise ConfigError(f"field 'mode'/'epsilon': {err}")
     if mode.misclassification_probability != 0.0:
         raise ConfigError("epsilon must be 0: the fast and exact engines "
                           "model ideal parity readout")
@@ -184,30 +185,22 @@ def _common_flags(parser):
     parser.add_argument("--n", type=int, dest="n_qubits")
     parser.add_argument("--schedule", help="comma-separated steps, e.g. P1,P2")
     parser.add_argument("--mode", choices=[m.value for m in ModeKind])
-    parser.add_argument("--theta", type=float)
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--engine", choices=["fast", "exact"])
     stop = parser.add_mutually_exclusive_group()
     stop.add_argument("--threshold", type=float)
     stop.add_argument("--rounds", type=int)
-    initial = parser.add_mutually_exclusive_group()
-    initial.add_argument("--x", type=float, help="Werner parameter")
-    initial.add_argument("--F", type=float, help="binary-ensemble fidelity")
 
 
 def _overrides_from(args) -> dict:
     overrides = {k: getattr(args, k) for k in
-                 ("n_qubits", "mode", "theta", "epsilon", "engine")}
+                 ("n_qubits", "mode", "epsilon", "engine")}
     if args.schedule is not None:
         overrides["schedule"] = args.schedule.split(",")
     if args.threshold is not None:
         overrides["stop"] = {"threshold": args.threshold}
     elif args.rounds is not None:
         overrides["stop"] = {"rounds": args.rounds}
-    if args.x is not None:
-        overrides["initial"] = {"type": "werner", "x": args.x}
-    elif args.F is not None:
-        overrides["initial"] = {"type": "binary", "F": args.F}
     return overrides
 
 
@@ -228,52 +221,72 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config, _overrides_from(args))
+    overrides = _overrides_from(args)
+    if args.x is not None:
+        overrides["initial"] = {"type": "werner", "x": args.x}
+    elif args.F is not None:
+        overrides["initial"] = {"type": "binary", "F": args.F}
+    config = load_config(args.config, overrides)
     _check_bounds(config)
     initial = build_initial(config)
     sched = build_schedule(config)
     trace = run_schedule(initial, sched, config["engine"])
     outdir = _outdir(args)
-    write_trace_csv(outdir / "trace.csv", trace)
-    write_summary_json(outdir / "summary.json", config, trace)
+    try:
+        write_trace_csv(outdir / "trace.csv", trace)
+        write_summary_json(outdir / "summary.json", config, trace)
+    except OSError as err:
+        raise ConfigError(f"cannot write output: {err}")
     print(f"rounds={trace.n_rounds} final_fidelity={_fmt(trace.final_fidelity)} "
           f"cumulative_yield={_fmt(trace.cumulative_yield)} "
           f"converged={trace.converged}")
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_sweep(args) -> int:
-    overrides = _overrides_from(args)
+def _sweep_grid(args, config: dict) -> tuple[str, list]:
+    """The swept parameter and its values.  Flags win over the config's
+    grid, and the parameter falls back to x."""
+    grid = config.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError("field 'grid' must be an object")
+    unknown = set(grid) - {"param", "values"}
+    if unknown:
+        raise ConfigError(f"unknown fields in 'grid': {sorted(unknown)}")
+    values = grid.get("values")
     if args.grid is not None:
         try:
             values = _parse_grid(args.grid)
         except ValueError:
             raise ConfigError(f"cannot parse grid {args.grid!r}")
-        overrides["grid"] = {"param": args.param, "values": values}
-    config = load_config(args.config, overrides)
-    _check_bounds(config)
-    grid = config.get("grid")
-    values = grid.get("values") if isinstance(grid, dict) else None
     if not (isinstance(values, list) and values
             and all(type(v) in (int, float) for v in values)):
         raise ConfigError("sweep needs a nonempty grid of numbers "
                           "({\"param\": \"x\"|\"F\", \"values\": [...]})")
     if len(values) > MAX_GRID_POINTS:
         raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
+    return args.param or grid.get("param", "x"), values
+
+
+def cmd_sweep(args) -> int:
+    config = load_config(args.config, _overrides_from(args))
+    _check_bounds(config)
+    param, values = _sweep_grid(args, config)
     sched = build_schedule(config)
     try:
-        rows = sweep(grid["param"], grid["values"], config["n_qubits"], sched,
-                     config["engine"])
+        rows = sweep(param, values, config["n_qubits"], sched, config["engine"])
     except ValueError as err:
         raise ConfigError(str(err))
     outdir = _outdir(args)
-    with open(outdir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row.value), _fmt(row.initial_fidelity),
-                             row.rounds, _fmt(row.final_fidelity),
-                             _fmt(row.cumulative_yield), row.converged])
+    try:
+        with open(outdir / "sweep.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(SWEEP_COLUMNS)
+            for row in rows:
+                writer.writerow([_fmt(row.value), _fmt(row.initial_fidelity),
+                                 row.rounds, _fmt(row.final_fidelity),
+                                 _fmt(row.cumulative_yield), row.converged])
+    except OSError as err:
+        raise ConfigError(f"cannot write output: {err}")
     for row in rows:
         print(f"value={row.value:g} initial={row.initial_fidelity:.6f} "
               f"rounds={row.rounds} final={row.final_fidelity:.6f} "
@@ -306,11 +319,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one purification schedule")
     _common_flags(p_run)
+    initial = p_run.add_mutually_exclusive_group()
+    initial.add_argument("--x", type=float, help="Werner parameter")
+    initial.add_argument("--F", type=float, help="binary-ensemble fidelity")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a schedule over a parameter grid")
     _common_flags(p_sweep)
-    p_sweep.add_argument("--param", choices=["x", "F"], default="x")
+    p_sweep.add_argument("--param", choices=["x", "F"],
+                         help="swept parameter (default: grid.param, then x)")
     p_sweep.add_argument("--grid", help="start:stop:step or comma-separated values")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -126,16 +126,17 @@ def project_parity(rho_pair: np.ndarray, branch: str,
     return projected, prob
 
 
-def _rotate_copy2_rows(rho_pair: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """(I (x) U) rho as t[x, p, y, b]: row (x, p), column (y, b)."""
-    dim = U.shape[0]
-    return (U @ rho_pair.reshape(dim, dim, dim * dim)).reshape(dim, dim, dim, dim)
+def copy2_outcome_blocks(rho_pair: np.ndarray) -> np.ndarray:
+    """Copy 1's unnormalised operator for each outcome m of copy 2 measured
+    after a 45-degree rotation, as blocks[x, m, y].
 
-
-def apply_copy2_unitary(rho_pair: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """(I (x) U) rho (I (x) U)^dagger without forming the full unitary."""
-    t = _rotate_copy2_rows(rho_pair, U)
-    return (t.reshape(-1, U.shape[0]) @ U.conj().T).reshape(rho_pair.shape)
+    Outcome m reads the copy-2 diagonal block (x, m; y, m) of the rotated
+    operator, so only those blocks are formed, not the full rotation.
+    """
+    H = hadamard_matrix(num_qubits(rho_pair) // 2)
+    dim = H.shape[0]
+    rows = (H @ rho_pair.reshape(dim, dim, dim * dim)).reshape(dim, dim, dim, dim)
+    return np.einsum("xmyb,mb->xmy", rows, H)
 
 
 def _phase_flip_diag(n: int, qubits: tuple[int, ...]) -> np.ndarray:
@@ -151,17 +152,11 @@ def _phase_flip_diag(n: int, qubits: tuple[int, ...]) -> np.ndarray:
 def measure_copy2_and_correct(rho_pair: np.ndarray, step: StepKind,
                               correction=correction_for_outcome) -> np.ndarray:
     """Rotate copy 2 by 45 degrees, sum the Z-measurement channel with
-    outcome-conditioned corrections on copy 1, and trace out copy 2.
-
-    Outcome m reads the copy-2 diagonal block (x, m; y, m) of the rotated
-    operator, so only those blocks are formed, not the full rotation.
-    """
+    outcome-conditioned corrections on copy 1, and trace out copy 2."""
     n = num_qubits(rho_pair) // 2
-    U = hadamard_matrix(n)
-    blocks = np.einsum("xmyb,mb->xmy", _rotate_copy2_rows(rho_pair, U), U.conj())
     D = np.array([_phase_flip_diag(n, correction(step, format(m, f"0{n}b")))
                   for m in range(1 << n)])
-    out = np.einsum("mx,xmy,my->xy", D, blocks, D)
+    out = np.einsum("mx,xmy,my->xy", D, copy2_outcome_blocks(rho_pair), D)
     return out / out.trace().real
 
 

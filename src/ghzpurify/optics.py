@@ -101,6 +101,8 @@ class DiscriminationMode:
     theta: float = math.pi
 
     def __post_init__(self):
+        # a kind given by name ("even-plus-odd") runs that mode; an unknown name raises
+        object.__setattr__(self, "kind", ModeKind(self.kind))
         if not 0.0 <= self.misclassification_probability < 0.5:
             raise ValueError("misclassification probability must be in [0, 0.5)")
         if not 0.0 < self.theta <= math.pi:

@@ -151,6 +151,10 @@ class TestConfigErrors:
         (["sweep", "--grid", ",".join(["0.8"] * (MAX_GRID_POINTS + 1))], None),
         (["sweep"], {"grid": {"param": "x", "values": [0.8] * (MAX_GRID_POINTS + 1)}}),
         (["validate", "--cases", str(MAX_VALIDATE_CASES + 1)], None),
+        (["run"], {"initial": {"type": "binary", "F": 0.8, "error_sing": -1}}),
+        (["run"], {"initial": {"type": "werner", "x": 0.8, "F": 0.9}}),
+        (["sweep"], {"grid": {"param": "x", "values": [0.7], "step": 0.1}}),
+        (["sweep", "--x", "0.5", "--grid", "0.7"], None),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"
@@ -166,6 +170,18 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, blocked", [
+        (["run", "--x", "0.8"], "trace.csv"),
+        (["run", "--x", "0.8"], "summary.json"),
+        (["sweep", "--grid", "0.7"], "sweep.csv"),
+    ])
+    def test_unwritable_output(self, tmp_path, capsys, argv, blocked):
+        (tmp_path / blocked).mkdir()
+        assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ")
+        assert err.count("\n") == 1
 
     def test_bad_step_name(self, tmp_path):
         code = main(["run", "--schedule", "P1,P3", "--x", "0.8",
@@ -194,6 +210,23 @@ class TestSweep:
         assert rows[1][5] == "False"
         assert float(rows[2][1]) == pytest.approx(0.5625)
         assert rows[2][5] == "True"
+
+    def test_param_flag_wins_over_config(self, tmp_path):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"grid": {"param": "x", "values": [0.7]}}))
+        code = main(["sweep", "--config", str(config), "--param", "F",
+                     "--outdir", str(tmp_path)])
+        assert code == EXIT_OK
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert float(rows[1][1]) == pytest.approx(0.7, abs=1e-15)
+
+    def test_param_falls_back_to_x(self, tmp_path):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"grid": {"values": [0.5, 0.6]}}))
+        code = main(["sweep", "--config", str(config), "--outdir", str(tmp_path)])
+        assert code == EXIT_OK
+        initial = [float(r[1]) for r in read_csv(tmp_path / "sweep.csv")[1:]]
+        assert initial == pytest.approx([0.5625, 0.65])
 
     def test_empty_grid(self, tmp_path, capsys):
         code = main(["sweep", "--grid", "", "--outdir", str(tmp_path)])

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ghzpurify import exact
-from ghzpurify.exact import (apply_copy2_unitary, bruteforce_step,
+from ghzpurify.exact import (bruteforce_step, copy2_outcome_blocks,
                              fidelity_to_target, ghz_diagonal_extract,
                              measure_copy2_and_correct, p1_exact, p2_exact,
                              project_parity, tensor_pair)
@@ -124,15 +124,15 @@ class TestKernelsAgainstTextbookOperators:
     on a random complex density matrix that is not GHZ-diagonal."""
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_copy2_unitary(self, n):
+    def test_copy2_outcome_blocks(self, n):
         rng = np.random.default_rng(20 + n)
         dim = 1 << n
         rho_pair = random_density(2 * n, rng)
-        U, _ = np.linalg.qr(rng.normal(size=(dim, dim))
-                            + 1j * rng.normal(size=(dim, dim)))
-        full = np.kron(np.eye(dim), U)
-        assert_allclose(apply_copy2_unitary(rho_pair, U),
-                        full @ rho_pair @ full.conj().T, atol=1e-12)
+        H = hadamard_matrix(n)
+        blocks = copy2_outcome_blocks(rho_pair)
+        for m in range(dim):
+            K = np.kron(np.eye(dim), H[m:m + 1, :])
+            assert_allclose(blocks[:, m, :], K @ rho_pair @ K.conj().T, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_copy2_flip(self, n):

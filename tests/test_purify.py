@@ -4,7 +4,7 @@ import pytest
 from ghzpurify.exact import exact_step, ghz_diagonal_extract
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            build_binary_ensemble, build_bitflip_ensemble,
-                           ensemble_fidelity, ensemble_to_density,
+                           build_werner, ensemble_fidelity, ensemble_to_density,
                            random_ghz_diagonal, target_label)
 from ghzpurify.optics import DiscriminationMode
 from ghzpurify.purify import (StepKind, apply_step, correction_for_outcome,
@@ -205,3 +205,19 @@ class TestStepByName:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
             apply_step(bit_error(3), "P3", EVEN_ONLY)
+
+
+class TestModeByName:
+    """A discrimination mode given by its name runs that mode."""
+
+    def test_name_equals_member_and_keeps_both_branches(self):
+        by_name = DiscriminationMode("even-plus-odd")
+        assert by_name == EVEN_PLUS_ODD
+        werner = build_werner(0.8, 3)
+        keep = p1_step(werner, by_name).keep_probability
+        assert keep == p1_step(werner, EVEN_PLUS_ODD).keep_probability
+        assert keep == pytest.approx(0.73, abs=1e-12)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ValueError):
+            DiscriminationMode("even-and-odd")
