@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel,
-                           build_binary_ensemble, ensemble_fidelity,
+                           build_binary_ensemble, build_werner,
+                           ensemble_fidelity, random_ghz_diagonal,
                            target_label)
-from ghzpurify.mc import mc_sample_step
-from ghzpurify.optics import DiscriminationMode
+from ghzpurify.mc import _draw_labels, _even_strings, mc_sample_step
+from ghzpurify.optics import DiscriminationMode, ModeKind
 from ghzpurify.purify import StepKind, apply_step
 
 EVEN_ONLY = DiscriminationMode.even_only()
@@ -146,8 +149,131 @@ class TestValidation:
         with pytest.raises(ValueError):
             mc_sample_step(bit_error(), StepKind.P1, EVEN_ONLY, 0, seed=1)
 
+    @pytest.mark.parametrize("trials", [True, 2.5, "10", None, np.float64(100.0)])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            mc_sample_step(bit_error(), StepKind.P1, EVEN_ONLY, trials, seed=1)
+
+    @pytest.mark.parametrize("trials", [np.int64(1_000), np.int32(1_000), np.uint16(1_000)])
+    def test_numpy_integer_trials_run_as_int(self, trials):
+        a = mc_sample_step(bit_error(), StepKind.P1, EVEN_ONLY, trials, seed=1)
+        b = mc_sample_step(bit_error(), StepKind.P1, EVEN_ONLY, 1_000, seed=1)
+        assert a.keep_probability == b.keep_probability
+        assert np.array_equal(a.output.W, b.output.W)
+
     def test_pure_target_p1(self):
         ens = GhzDiagonalEnsemble(3, {target_label(3): 1.0})
         rep = mc_sample_step(ens, StepKind.P1, EVEN_PLUS_ODD, 10_000, seed=2)
         assert rep.keep_probability == 1.0
         assert ensemble_fidelity(rep.output) == 1.0
+
+
+def reference_sample_step(ens, step, mode, trials, seed):
+    """The per-trial sampler that mc_sample_step must match draw for draw:
+    one rng.choice per copy, each copy's support string as an explicit
+    computational string, and the misread pattern by a matrix product.
+    Returns (W, keep, branch_stats), or the ValueError message."""
+    n = ens.n_qubits
+    full = (1 << n) - 1
+    rng = np.random.default_rng(seed)
+    flat = ens.W.T.ravel()
+    support = np.flatnonzero(flat)
+    reps = support >> 1
+    signs = 1 - 2 * (support & 1)
+    i1 = rng.choice(len(support), size=trials, p=flat[support])
+    i2 = rng.choice(len(support), size=trials, p=flat[support])
+
+    def support_samples(r, s):
+        if step is StepKind.P1:
+            flip = rng.integers(0, 2, size=trials, dtype=np.int64)
+            return np.where(flip == 1, r ^ full, r)
+        half = np.arange(1 << (n - 1), dtype=np.int64)
+        parity = np.zeros_like(half)
+        for b in range(n - 1):
+            parity ^= (half >> b) & 1
+        even_strings = (half << 1) | parity
+        idx = rng.integers(0, 1 << (n - 1), size=trials)
+        return np.where(s == 1, even_strings[idx], even_strings[idx] ^ 1)
+
+    x = support_samples(reps[i1], signs[i1])
+    y = support_samples(reps[i2], signs[i2])
+    z = read = x ^ y
+    eps = mode.misclassification_probability
+    if eps > 0.0 and mode.kind is not ModeKind.SIX_MODE_PBS:
+        misread = rng.random((trials, n)) < eps
+        read = z ^ (misread @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64)))
+    kept = (read == 0) | ((read == full) & (mode.kind is ModeKind.EVEN_PLUS_ODD))
+    n_kept = int(kept.sum())
+    if n_kept == 0:
+        return "no kept trials; increase trials"
+    spurious = n_kept - int((kept & ((z == 0) | (z == full))).sum())
+    if step is StepKind.P1:
+        out_rep, out_sign = reps[i1][kept], (signs[i1] * signs[i2])[kept]
+    else:
+        out_rep, out_sign = (reps[i1] ^ reps[i2])[kept], signs[i1][kept]
+    counts = np.bincount(out_rep * 2 + (out_sign == -1), minlength=1 << n)
+    stats = {("spurious", "*"): spurious / trials} if spurious else {}
+    return counts.reshape(-1, 2).T / n_kept, n_kept / trials, stats
+
+
+def sampled(ens, step, mode, trials, seed):
+    try:
+        rep = mc_sample_step(ens, step, mode, trials, seed)
+    except ValueError as err:
+        return str(err)
+    return rep.output.W, rep.keep_probability, rep.branch_stats
+
+
+def grid_inputs(n):
+    yield random_ghz_diagonal(n, np.random.default_rng(n))
+    yield build_werner(0.7, n)
+    yield build_binary_ensemble(0.8, GhzLabel("0" * (n - 1) + "1", -1), n)
+    yield GhzDiagonalEnsemble(n, {target_label(n): 1.0})
+
+
+# (trials, seed): one trial, odd and even counts, and the largest at 20k.
+TRIAL_SEEDS = ((1, 0), (1_001, 1), (4_096, 2), (20_000, 3))
+
+
+class TestBitIdenticalToTheReferenceSampler:
+    @pytest.mark.parametrize("step", [StepKind.P1, StepKind.P2])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_same_output_keep_and_stats(self, n, step):
+        for ens, kind, eps, (trials, seed) in itertools.product(
+                grid_inputs(n), ModeKind, (0.0, 0.05, 0.2), TRIAL_SEEDS):
+            mode = DiscriminationMode(kind, eps)
+            want = reference_sample_step(ens, step, mode, trials, seed)
+            got = sampled(ens, step, mode, trials, seed)
+            case = (kind.value, eps, trials, seed, ens.W.tolist())
+            if isinstance(want, str):
+                assert got == want, case
+                continue
+            assert np.array_equal(got[0], want[0]), case
+            assert got[1:] == want[1:], case
+
+
+class TestLabelDraw:
+    PROBS = ([1.0], [0.25, 0.25, 0.5], [1 / 64] * 64,
+             [1e-300, 1 - 1e-12, 1e-12], [1 - 1e-12, 1e-300, 1e-12],
+             *(np.random.default_rng(k).dirichlet(np.ones(k)) for k in (2, 5, 33, 64)))
+
+    @pytest.mark.parametrize("probs", PROBS, ids=range(len(PROBS)))
+    @pytest.mark.parametrize("trials", [1, 7, 4_097])
+    def test_matches_two_choice_calls(self, probs, trials):
+        probs = np.asarray(probs, dtype=float)
+        support = 3 * np.arange(len(probs)) + 1
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            want = [support[rng.choice(len(probs), trials, p=probs)] for _ in range(2)]
+            got = _draw_labels(support, probs, trials, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+
+class TestEvenStrings:
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_cached_read_only_table_of_every_even_string(self, n):
+        even = _even_strings(n)
+        assert _even_strings(n) is even
+        assert not even.flags.writeable
+        assert sorted(even) == [x for x in range(1 << n) if x.bit_count() % 2 == 0]
+        assert list(even >> 1) == list(range(1 << (n - 1)))

@@ -1,5 +1,6 @@
-"""Property tests of the fast step maps on random GHZ-diagonal ensembles,
-and of the dense engine on random complex density matrices."""
+"""Property tests of the fast step maps and the Monte Carlo sampler on random
+GHZ-diagonal ensembles, and of the dense engine on random complex density
+matrices."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from ghzpurify.exact import exact_step, ghz_diagonal_extract
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, ensemble_to_density,
                            is_valid_density, target_label)
+from ghzpurify.mc import mc_sample_step
 from ghzpurify.optics import DiscriminationMode, ModeKind
 from ghzpurify.purify import StepKind, apply_step
 
@@ -17,6 +19,11 @@ MODES = (EVEN_ONLY, EVEN_PLUS_ODD, SIX_MODE)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
+# Few trials keep the MC properties fast; every (n, step, mode, epsilon)
+# still keeps about 75 or more of them in expectation.
+MC_TRIALS = 5_000
+EPSILONS = (0.0, 0.05, 0.2)
+SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 @st.composite
@@ -107,6 +114,44 @@ def test_six_mode_output_equals_even_only(ens):
         one = apply_step(ens, step, EVEN_ONLY)
         assert six.keep_probability == one.keep_probability
         assert np.array_equal(six.output.W, one.output.W)
+
+
+@SETTINGS
+@given(ensembles(), SEEDS)
+def test_mc_output_is_a_distribution_and_keep_a_probability(ens, seed):
+    for step in StepKind:
+        for kind in ModeKind:
+            for eps in EPSILONS:
+                rep = mc_sample_step(ens, step, DiscriminationMode(kind, eps),
+                                     MC_TRIALS, seed)
+                assert (rep.output.W >= 0.0).all()
+                assert abs(rep.output.W.sum() - 1.0) <= 1e-12
+                assert 0.0 < rep.keep_probability <= 1.0
+                if eps == 0.0:
+                    assert ("spurious", "*") not in rep.branch_stats
+
+
+@SETTINGS
+@given(ensembles(), SEEDS)
+def test_mc_six_mode_draws_no_misread(ens, seed):
+    noisy_six = DiscriminationMode(ModeKind.SIX_MODE_PBS, 0.2)
+    for step in StepKind:
+        clean = mc_sample_step(ens, step, SIX_MODE, MC_TRIALS, seed)
+        noisy = mc_sample_step(ens, step, noisy_six, MC_TRIALS, seed)
+        assert noisy.keep_probability == clean.keep_probability
+        assert np.array_equal(noisy.output.W, clean.output.W)
+        assert noisy.branch_stats == clean.branch_stats == {}
+
+
+@SETTINGS
+@given(st.integers(2, 6), st.sampled_from(EPSILONS), SEEDS)
+def test_mc_target_stays_pure(n, eps, seed):
+    target = GhzDiagonalEnsemble(n, {target_label(n): 1.0})
+    for step in StepKind:
+        for kind in ModeKind:
+            rep = mc_sample_step(target, step, DiscriminationMode(kind, eps),
+                                 MC_TRIALS, seed)
+            assert rep.output.weights == {target_label(n): 1.0}
 
 
 @st.composite
