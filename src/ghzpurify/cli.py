@@ -6,6 +6,7 @@ import csv
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .ghz import (MAX_QUBITS_EXACT, MAX_QUBITS_FAST, GhzDiagonalEnsemble,
@@ -60,8 +61,9 @@ def _fmt(value: float) -> str:
 
 
 def _number(value) -> float:
-    """float() of a config value; a JSON boolean is not a number."""
-    if isinstance(value, bool):
+    """A config value that JSON wrote as a number, as a float: a string or
+    a boolean is not a number."""
+    if type(value) not in (int, float):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -174,8 +176,7 @@ def write_summary_json(path: Path, config: dict, trace: ScheduleTrace):
         "converged": trace.converged,
     }
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _common_flags(parser):
@@ -311,7 +312,11 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def make_parser() -> argparse.ArgumentParser:
+    """The parser of all subcommands, built once per process and shared:
+    do not mutate it.  parse_args keeps no state between calls, since every
+    default is a function or an immutable value."""
     parser = _ArgumentParser(
         prog="ghzpurify",
         description="Simulate QND-based purification of N-qubit GHZ ensembles")

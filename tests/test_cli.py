@@ -155,6 +155,11 @@ class TestConfigErrors:
         (["run"], {"initial": {"type": "werner", "x": 0.8, "F": 0.9}}),
         (["sweep"], {"grid": {"param": "x", "values": [0.7], "step": 0.1}}),
         (["sweep", "--x", "0.5", "--grid", "0.7"], None),
+        (["run"], {"initial": {"type": "werner", "x": "0.8"}}),
+        (["run"], {"epsilon": "0"}),
+        (["run"], {"initial": {"type": "bitflip", "weights": ["0.7", 0.1, 0.1, 0.1]}}),
+        (["run"], {"initial": {"type": "binary", "F": "0.9"}}),
+        (["run"], {"initial": {"type": "binary", "F": 0.9, "error_sign": "-1"}}),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"
@@ -289,3 +294,49 @@ class TestValidate:
         proc = run_module("validate", "--n-max", "2", "--cases", "1")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "PASS oracle_equivalence" in proc.stdout
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.make_parser() is cli.make_parser()
+
+    @staticmethod
+    def _call(argv, outdir, capsys):
+        """Exit code, stdout, stderr and output files of one in-process call."""
+        if argv[0] != "validate":
+            argv = argv + ["--outdir", str(outdir)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(outdir.glob("*"))} \
+            if outdir.is_dir() else {}
+        return code, out, err, files
+
+    @pytest.mark.parametrize("calls, codes", [
+        ([["run", "--rounds", "3"], ["run", "--threshold", "0.99"]], [EXIT_OK, EXIT_OK]),
+        ([["run", "--x", "0.7"], ["run", "--F", "0.9"]], [EXIT_OK, EXIT_OK]),
+        ([["run", "--theta", "1"], ["run", "--x", "0.8", "--n", "4"]],
+         [EXIT_CONFIG, EXIT_OK]),
+        ([["validate", "--n-max", "2"], ["run", "--schedule", "P2,P1"]],
+         [EXIT_OK, EXIT_OK]),
+    ], ids=["stop", "initial", "bad_then_good", "validate_then_run"])
+    def test_shared_parser_matches_a_fresh_one(self, tmp_path, capsys, calls, codes):
+        """Calls in a row through the one parser give what each call gives
+        through a parser of its own."""
+        shared = [self._call(argv, tmp_path / f"shared{i}", capsys)
+                  for i, argv in enumerate(calls)]
+        fresh = []
+        for i, argv in enumerate(calls):
+            cli.make_parser.cache_clear()
+            fresh.append(self._call(argv, tmp_path / f"fresh{i}", capsys))
+        assert [code for code, *_ in shared] == codes
+        assert shared == fresh
+
+    def test_in_process_matches_python_dash_m(self, tmp_path, capsys):
+        args = ["run", "--x", "0.75", "--n", "4", "--schedule", "P1,P2,P2",
+                "--mode", "even-plus-odd", "--rounds", "5"]
+        code, out, err, files = self._call(args, tmp_path / "inproc", capsys)
+        proc = run_module(*args, "--outdir", str(tmp_path / "sub"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert files.keys() == {"trace.csv", "summary.json"}
+        for name, data in files.items():
+            assert (tmp_path / "sub" / name).read_bytes() == data

@@ -141,6 +141,43 @@ class TestEnsembles:
             GhzDiagonalEnsemble(7, {target_label(7): 1.0})
 
 
+def werner_with(w11, excess=0.0):
+    """Werner weights at x = 0.8, n = 3 with W[1, 1] set to w11 (the sum
+    kept at 1), then excess added to W[0, 0]."""
+    W = build_werner(0.8, 3).W.copy()
+    W[0, 0] += W[1, 1] + excess
+    W[1, 1] = w11
+    return W
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize("w11, excess", [
+        (np.nan, 0.0), (-1e-9, 0.0), (0.0, 2e-9), (0.0, -2e-9),
+    ], ids=["nan", "negative", "sum_high", "sum_low"])
+    def test_rejects(self, w11, excess):
+        with pytest.raises(ValueError):
+            GhzDiagonalEnsemble(3, werner_with(w11, excess))
+
+    def test_tiny_negative_weight_stored_as_positive_zero(self):
+        ens = GhzDiagonalEnsemble(3, werner_with(-1e-11))
+        assert ens.W[1, 1] == 0.0 and not np.signbit(ens.W[1, 1])
+        assert repr(ens) == "GhzDiagonalEnsemble(n_qubits=3, 7 labels)"
+
+    def test_weights_are_read_only(self):
+        ens = build_werner(0.8, 3)
+        with pytest.raises(ValueError):
+            ens.W[0, 0] = 0.5
+
+    @pytest.mark.parametrize("x", [0.8, 1.0], ids=["all_positive", "with_zeros"])
+    def test_callers_array_stays_theirs(self, x):
+        W = build_werner(x, 3).W.copy()
+        ens = GhzDiagonalEnsemble(3, W)
+        assert W.flags.writeable
+        before = ens.W.copy()
+        W[...] = 0.25
+        np.testing.assert_array_equal(ens.W, before)
+
+
 class TestDensity:
     def test_pure_target_projector(self):
         ens = GhzDiagonalEnsemble(3, {target_label(3): 1.0})
