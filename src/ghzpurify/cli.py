@@ -60,10 +60,15 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
+def _is_number(value) -> bool:
+    """Whether JSON wrote a config value as a number: a string or a boolean
+    is not one."""
+    return type(value) in (int, float)
+
+
 def _number(value) -> float:
-    """A config value that JSON wrote as a number, as a float: a string or
-    a boolean is not a number."""
-    if type(value) not in (int, float):
+    """A config value that JSON wrote as a number, as a float."""
+    if not _is_number(value):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -260,7 +265,7 @@ def _sweep_grid(args, config: dict) -> tuple[str, list]:
         except ValueError:
             raise ConfigError(f"cannot parse grid {args.grid!r}")
     if not (isinstance(values, list) and values
-            and all(type(v) in (int, float) for v in values)):
+            and all(map(_is_number, values))):
         raise ConfigError("sweep needs a nonempty grid of numbers "
                           "({\"param\": \"x\"|\"F\", \"values\": [...]})")
     if len(values) > MAX_GRID_POINTS:

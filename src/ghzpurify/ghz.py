@@ -104,16 +104,11 @@ class GhzDiagonalEnsemble:
             W = np.asarray(weights, dtype=float)
             if W.shape != shape:
                 raise ValueError(f"weight array has shape {W.shape}, expected {shape}")
-        lo = W.min()   # NaN if any weight is NaN, and NaN fails the check
-        if not lo >= -1e-10:
-            raise ValueError(f"weights must be >= -1e-10 and not NaN, got {lo}")
-        # Clamp to +0.0 only if some weight is zero or negative.  Either way
-        # W is a fresh array in the input's memory order, so a caller's
-        # array is never frozen or aliased.
-        W = np.where(W > 0.0, W, 0.0) if lo <= 0.0 else W.copy(order="K")
-        total = W.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {total}, expected 1")
+        if not (W >= -1e-10).all():
+            raise ValueError(f"weights must be >= -1e-10 and not NaN, got {W.min()}")
+        W = np.where(W > 0.0, W, 0.0)
+        if abs(W.sum() - 1.0) > 1e-9:
+            raise ValueError(f"weights sum to {W.sum()}, expected 1")
         W.flags.writeable = False
         self.n_qubits = n_qubits
         self.W = W

@@ -75,12 +75,10 @@ def check_ideal_readout(mode: DiscriminationMode):
 
 
 def _finish(n: int, raw: np.ndarray, keep: float) -> StepReport:
-    """raw holds the kept mass of each output label up to one positive
-    factor; it is normalised in place."""
+    """raw holds the kept mass of each output label up to one positive factor."""
     if keep < MIN_KEEP:
         raise ValueError("keep probability underflowed; input is not purifiable")
-    raw /= raw.sum()
-    return StepReport(GhzDiagonalEnsemble(n, raw), keep)
+    return StepReport(GhzDiagonalEnsemble(n, raw / raw.sum()), keep)
 
 
 def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
@@ -90,15 +88,7 @@ def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
     wp, wm = ens.W
     # Equal-rep pairs pass each kept branch with probability 1/2 and leave
     # (e, s1*s2); the output does not depend on how many branches are kept.
-    # C order whatever the layout of ens.W, so raw.sum() adds in one fixed
-    # order; doubling wp first is exact, so 2 wp wm rounds once, also below
-    # the normal range.
-    raw = np.empty(ens.W.shape)
-    np.multiply(wp, wp, out=raw[0])
-    np.multiply(wm, wm, out=raw[1])
-    raw[0] += raw[1]
-    np.multiply(wp, 2.0, out=raw[1])
-    raw[1] *= wm
+    raw = np.stack((wp * wp + wm * wm, 2.0 * wp * wm))
     return _finish(ens.n_qubits, raw, 0.5 * branches * float(raw.sum()))
 
 

@@ -102,24 +102,6 @@ class TestP1:
                 assert ensemble_fidelity(out) == pytest.approx(
                     F ** 2 / (F ** 2 + (1 - F) ** 2), abs=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_bitwise_equal_to_the_stacked_formula(self, n):
-        """The in-place kernel rounds as the formula it replaces, also on
-        the transposed arrays random_ghz_diagonal builds and in the
-        subnormal range."""
-        rng = np.random.default_rng(n)
-        cases = [random_ghz_diagonal(n, rng) for _ in range(10)]
-        W = random_ghz_diagonal(n, rng).W.copy()
-        W[1] = 1e-307 * rng.random(W.shape[1])   # wp * wm falls below 2^-1022
-        W[0] += (1.0 - W.sum()) / W.shape[1]
-        cases.append(GhzDiagonalEnsemble(n, W))
-        for ens in cases:
-            wp, wm = ens.W
-            raw = np.stack((wp * wp + wm * wm, 2.0 * wp * wm))
-            report = p1_step(ens, EVEN_PLUS_ODD)
-            assert report.keep_probability == float(raw.sum())
-            np.testing.assert_array_equal(report.output.W, raw / raw.sum())
-
     def test_epsilon_rejected(self):
         with pytest.raises(ValueError):
             p1_step(bit_error(3), DiscriminationMode.even_only(epsilon=0.01))
