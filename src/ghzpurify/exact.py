@@ -195,19 +195,19 @@ def ghz_diagonal_extract(rho: np.ndarray) -> tuple[GhzDiagonalEnsemble, float]:
     w(e, s) = ½ Re(rho[e, e] + rho[~e, ~e]) + s·½ Re(rho[e, ~e] + rho[~e, e]).
     The GHZ basis is orthonormal, so the residual is ‖rho − rho_GHZ‖_F, where
     rho_GHZ is the GHZ-diagonal state with these weights: it sits on the
-    diagonal and the anti-diagonal, and the difference is formed entry by
-    entry.  (The shortcut √(‖rho‖² − Σ w²) loses everything below about 1e-8
-    to cancellation.)
+    diagonal and the anti-diagonal, so the difference is a copy of rho with
+    those entries reduced, formed entry by entry.  (The shortcut
+    √(‖rho‖² − Σ w²) loses everything below about 1e-8 to cancellation.)
     """
     n = num_qubits(rho)
     x = np.arange(1 << n)
     diag, anti = rho[x, x], rho[x, x[::-1]]      # x[::-1] is ~x
     mean = ((diag + diag[::-1]) / 2.0).real
     cross = ((anti + anti[::-1]) / 2.0).real
-    ghz_part = np.zeros_like(rho)
-    ghz_part[x, x] = mean
-    ghz_part[x, x[::-1]] = cross
-    residual = float(np.linalg.norm(rho - ghz_part))
+    diff = np.array(rho)
+    diff[x, x] -= mean
+    diff[x, x[::-1]] -= cross
+    residual = float(np.linalg.norm(diff))
     reps = slice(0, len(x) // 2)                   # canonical reps: first bit 0
     W = np.clip(np.stack([mean[reps] + cross[reps], mean[reps] - cross[reps]]), 0.0, None)
     return GhzDiagonalEnsemble(n, W / W.sum()), residual

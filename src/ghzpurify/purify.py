@@ -74,11 +74,15 @@ def check_ideal_readout(mode: DiscriminationMode):
                          "use mc_sample_step for noisy readout")
 
 
-def _finish(n: int, raw: np.ndarray, keep: float) -> StepReport:
-    """raw holds the kept mass of each output label up to one positive factor."""
+def _finish(n: int, raw: np.ndarray, scale: float) -> StepReport:
+    """raw holds the kept mass of each output label divided by scale; it is
+    normalised in place by the total that gives the keep probability."""
+    total = float(raw.sum())
+    keep = scale * total
     if keep < MIN_KEEP:
         raise ValueError("keep probability underflowed; input is not purifiable")
-    return StepReport(GhzDiagonalEnsemble(n, raw / raw.sum()), keep)
+    raw /= total
+    return StepReport(GhzDiagonalEnsemble(n, raw), keep)
 
 
 def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
@@ -88,8 +92,13 @@ def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
     wp, wm = ens.W
     # Equal-rep pairs pass each kept branch with probability 1/2 and leave
     # (e, s1*s2); the output does not depend on how many branches are kept.
-    raw = np.stack((wp * wp + wm * wm, 2.0 * wp * wm))
-    return _finish(ens.n_qubits, raw, 0.5 * branches * float(raw.sum()))
+    # One C-ordered buffer whatever the layout of ens.W, filled in place:
+    # (wp^2 + wm^2, (2 wp) wm), each rounded as the plain expression would be.
+    raw = np.multiply(ens.W, ens.W, order="C")
+    raw[0] += raw[1]
+    np.multiply(wp, 2.0, out=raw[1])
+    raw[1] *= wm
+    return _finish(ens.n_qubits, raw, 0.5 * branches)
 
 
 def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
@@ -108,9 +117,11 @@ def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
         raw += fwht(F[0] * F[1])
     # for even n the all-odd branch mirrors the all-even one exactly
     branches = 2 if both and n % 2 == 0 else 1
-    return _finish(n, raw, branches * 2.0 ** -(2 * (n - 1)) * float(raw.sum()))
+    return _finish(n, raw, branches * 2.0 ** -(2 * (n - 1)))
 
 
 def apply_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
                mode: DiscriminationMode) -> StepReport:
-    return p1_step(ens, mode) if StepKind(step) is StepKind.P1 else p2_step(ens, mode)
+    if not isinstance(step, StepKind):
+        step = StepKind(step)
+    return p1_step(ens, mode) if step is StepKind.P1 else p2_step(ens, mode)

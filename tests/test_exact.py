@@ -300,6 +300,29 @@ class TestDiagonalExtract:
         _, residual = ghz_diagonal_extract(rho)
         assert residual == pytest.approx(want, rel=1e-4)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_residual_matches_the_dense_difference_bit_for_bit(self, n):
+        def dense_residual(rho):
+            # ‖rho − rho_GHZ‖ with rho_GHZ formed as a dense matrix
+            x = np.arange(len(rho))
+            diag, anti = rho[x, x], rho[x, x[::-1]]
+            ghz_part = np.zeros_like(rho)
+            ghz_part[x, x] = ((diag + diag[::-1]) / 2.0).real
+            ghz_part[x, x[::-1]] = ((anti + anti[::-1]) / 2.0).real
+            return float(np.linalg.norm(rho - ghz_part))
+
+        rng = np.random.default_rng(90 + n)
+        for case in range(50):
+            diagonal = ensemble_to_density(random_ghz_diagonal(n, rng))
+            rho = (random_density(n, rng) if case % 3 == 0 else
+                   diagonal + 1e-11 * random_density(n, rng) if case % 3 == 1
+                   else diagonal)
+            for r in (rho, rho.T):
+                before = r.copy()
+                _, residual = ghz_diagonal_extract(r)
+                assert residual == dense_residual(r)
+                assert np.array_equal(r, before)
+
     def test_nondiagonal_has_residual(self):
         plus = vec(2, {"00": 1.0})
         rho = projector((plus + vec(2, {"01": 1.0})) / np.sqrt(2))

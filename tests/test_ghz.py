@@ -173,9 +173,20 @@ class TestConstructorChecks:
         W = build_werner(x, 3).W.copy()
         ens = GhzDiagonalEnsemble(3, W)
         assert W.flags.writeable
+        assert not np.shares_memory(ens.W, W)
         before = ens.W.copy()
         W[...] = 0.25
         np.testing.assert_array_equal(ens.W, before)
+
+    @pytest.mark.parametrize("x", [0.8, 1.0], ids=["all_positive", "with_zeros"])
+    def test_transposed_array_is_copied_in_its_memory_order(self, x):
+        # Stored as the caller laid it out, so a sum over it adds in the
+        # same order whether or not a weight needed clamping.
+        W = build_werner(x, 3).W.T.copy().T
+        ens = GhzDiagonalEnsemble(3, W)
+        assert W.flags.writeable and not np.shares_memory(ens.W, W)
+        assert ens.W.flags.f_contiguous and not ens.W.flags.c_contiguous
+        np.testing.assert_array_equal(ens.W, W)
 
 
 class TestDensity:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzpurify.exact import exact_step, ghz_diagonal_extract
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            build_binary_ensemble, build_bitflip_ensemble,
                            build_werner, ensemble_fidelity, ensemble_to_density,
-                           random_ghz_diagonal, target_label)
-from ghzpurify.optics import DiscriminationMode
+                           fwht, random_ghz_diagonal, target_label)
+from ghzpurify.optics import DiscriminationMode, ModeKind
 from ghzpurify.purify import (StepKind, apply_step, correction_for_outcome,
                               p1_step, p2_step)
 
@@ -221,3 +223,57 @@ class TestModeByName:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
             DiscriminationMode("even-and-odd")
+
+
+def reference_step(ens, step, mode):
+    """The step maps in their plain form: a stacked P1 buffer, the output
+    normalised by a second sum, small negatives clamped to +0.0."""
+    n = ens.n_qubits
+    both = mode.kind is ModeKind.EVEN_PLUS_ODD
+    if step is StepKind.P1:
+        wp, wm = ens.W
+        raw = np.stack((wp * wp + wm * wm, 2.0 * wp * wm))
+        keep = 0.5 * (2 if both else 1) * float(raw.sum())
+    else:
+        F = fwht(ens.W)
+        raw = fwht(F * F)
+        if both and n % 2 == 1:
+            raw += fwht(F[0] * F[1])
+        branches = 2 if both and n % 2 == 0 else 1
+        keep = branches * 2.0 ** -(2 * (n - 1)) * float(raw.sum())
+    out = raw / raw.sum()
+    return np.where(out > 0.0, out, 0.0), keep
+
+
+@st.composite
+def step_inputs(draw):
+    """Ensembles at n = 2..6 with some labels at zero or at subnormal
+    weights, stored C-ordered or as the transposed view that
+    random_ghz_diagonal passes to the constructor."""
+    n = draw(st.integers(2, 6))
+    size = 1 << n
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    w[0] += 1e-3
+    tiny = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    tiny[0] = False
+    w[tiny] *= 1e-310
+    w /= w.sum()
+    transposed = draw(st.booleans())
+    return GhzDiagonalEnsemble(n, w.reshape(-1, 2).T if transposed else w.reshape(2, -1))
+
+
+class TestBitIdentity:
+    """The in-place kernels give the reference maps' output and keep bit
+    for bit, whatever the memory order of the input."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(step_inputs())
+    def test_steps_match_the_reference_bit_for_bit(self, ens):
+        for step in StepKind:
+            for mode in (EVEN_ONLY, EVEN_PLUS_ODD, SIX_MODE):
+                rep = apply_step(ens, step, mode)
+                want, keep = reference_step(ens, step, mode)
+                assert rep.output.W.tobytes() == want.tobytes()
+                assert rep.keep_probability == keep
+                # C order, so the next step sums in the reference's order
+                assert rep.output.W.flags.c_contiguous
