@@ -29,6 +29,8 @@ the table against it.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .ghz import MAX_QUBITS_EXACT, GhzDiagonalEnsemble, hadamard_matrix
@@ -36,45 +38,64 @@ from .optics import DiscriminationMode, ModeKind
 from .purify import StepKind, check_ideal_readout, correction_for_outcome
 
 
-def num_qubits(rho: np.ndarray) -> int:
-    n = rho.shape[0].bit_length() - 1
-    if rho.shape != (1 << n, 1 << n):
+def num_qubits(rho: np.ndarray, stack: bool = False) -> int:
+    """n of a 2^n x 2^n operator; with stack set, also of a stack of them,
+    shape (G, 2^n, 2^n)."""
+    n = rho.shape[-1].bit_length() - 1
+    if rho.shape[-2:] != (1 << n, 1 << n) or rho.ndim not in ((2, 3) if stack else (2,)):
         raise ValueError(f"not a square power-of-two matrix: {rho.shape}")
     return n
 
 
 # -- Schur-product engine --------------------------------------------------
+#
+# Each step also takes a stack of operators, shape (G, 2^n, 2^n), and then
+# returns an array of G keep probabilities (a PerRow) in place of a float.
+
+PerRow = float | np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _ghz_pairs(n: int) -> np.ndarray:
+    """Read-only mask of the entries (x, x') with x' in {x, ~x}."""
+    x = np.arange(1 << n)
+    mask = np.zeros((1 << n, 1 << n), dtype=bool)
+    mask[x, x] = mask[x, x[::-1]] = True   # x[::-1] is ~x
+    mask.flags.writeable = False
+    return mask
+
 
 def _schur_kept(rho: np.ndarray, mode: DiscriminationMode
-                ) -> tuple[np.ndarray, float]:
-    """rho∘rho, plus rho∘(P rho P) for even-plus-odd; and its trace."""
+                ) -> tuple[np.ndarray, PerRow, PerRow]:
+    """rho∘rho, plus rho∘(P rho P) for even-plus-odd; its trace, and the
+    trace shaped to divide it."""
     kept = rho * rho
     if mode.kind is ModeKind.EVEN_PLUS_ODD:
-        kept += rho * rho[::-1, ::-1]
-    return kept, float(kept.trace().real)
+        kept += rho * rho[..., ::-1, ::-1]
+    if kept.ndim == 2:
+        keep = float(kept.trace().real)
+        return kept, keep, keep
+    keep = kept.trace(axis1=1, axis2=2).real
+    return kept, keep, keep[:, None, None]
 
 
-def p1_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, float]:
+def p1_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, PerRow]:
     """Bit-flip correction; returns (output, keep probability)."""
     check_ideal_readout(mode)
-    kept, keep = _schur_kept(rho, mode)
-    x = np.arange(1 << num_qubits(rho))
-    out = np.zeros_like(kept)
-    out[x, x] = kept[x, x]
-    out[x, x[::-1]] = kept[x, x[::-1]]   # x[::-1] is ~x
-    return out / keep, keep
+    kept, keep, norm = _schur_kept(rho, mode)
+    return np.where(_ghz_pairs(num_qubits(rho, stack=True)), kept, 0.0) / norm, keep
 
 
-def p2_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, float]:
+def p2_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, PerRow]:
     """Phase-flip correction: the P1 core in the Hadamard frame, no mask."""
     check_ideal_readout(mode)
-    H = hadamard_matrix(num_qubits(rho))
-    kept, keep = _schur_kept(H @ rho @ H, mode)
-    return H @ kept @ H / keep, keep
+    H = hadamard_matrix(num_qubits(rho, stack=True))
+    kept, keep, norm = _schur_kept(H @ rho @ H, mode)
+    return H @ kept @ H / norm, keep
 
 
 def exact_step(rho: np.ndarray, step: StepKind | str, mode: DiscriminationMode
-               ) -> tuple[np.ndarray, float]:
+               ) -> tuple[np.ndarray, PerRow]:
     fn = p1_exact if StepKind(step) is StepKind.P1 else p2_exact
     return fn(rho, mode)
 
@@ -213,7 +234,9 @@ def ghz_diagonal_extract(rho: np.ndarray) -> tuple[GhzDiagonalEnsemble, float]:
     return GhzDiagonalEnsemble(n, W / W.sum()), residual
 
 
-def fidelity_to_target(rho: np.ndarray) -> float:
-    """<phi+| rho |phi+>: the four corner entries, as the extract reads them."""
-    num_qubits(rho)
-    return 0.5 * float((rho[0, 0] + rho[-1, -1] + rho[0, -1] + rho[-1, 0]).real)
+def fidelity_to_target(rho: np.ndarray) -> PerRow:
+    """<phi+| rho |phi+>: the four corner entries, as the extract reads them;
+    an array with one per operator of a stack."""
+    num_qubits(rho, stack=True)
+    f = 0.5 * (rho[..., 0, 0] + rho[..., -1, -1] + rho[..., 0, -1] + rho[..., -1, 0]).real
+    return float(f) if rho.ndim == 2 else f

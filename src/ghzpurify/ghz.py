@@ -86,7 +86,12 @@ def ghz_label_to_state(label: GhzLabel, n: int) -> np.ndarray:
 class GhzDiagonalEnsemble:
     """Probability weights over the 2^n GHZ basis states, held in one array W
     of shape (2, 2^(n-1)): label (rep, sign) sits at W[(1 - sign) // 2,
-    int(rep, 2)].  Takes W or a dict keyed by GhzLabel; never renormalizes."""
+    int(rep, 2)].  Takes W or a dict keyed by GhzLabel; never renormalizes.
+
+    W may also be a stack of G ensembles, shape (G, 2, 2^(n-1)), one per row;
+    the steps then act on every row at once.  Each row is checked as a single
+    ensemble is, and one bad row rejects the whole stack.
+    """
 
     def __init__(self, n_qubits: int, weights):
         if n_qubits < 2:
@@ -102,15 +107,20 @@ class GhzDiagonalEnsemble:
                 W[(1 - label.sign) // 2, int(label.rep, 2)] = w
         else:
             W = np.asarray(weights, dtype=float)
-            if W.shape != shape:
-                raise ValueError(f"weight array has shape {W.shape}, expected {shape}")
+            if W.shape != shape and (W.ndim != 3 or W.shape[1:] != shape or not len(W)):
+                raise ValueError(f"weight array has shape {W.shape}, expected "
+                                 f"{shape} or (G, {shape[0]}, {shape[1]})")
         lo = W.min()   # NaN if any weight is NaN, and NaN fails the check
         if not lo >= -1e-10:
             raise ValueError(f"weights must be >= -1e-10 and not NaN, got {lo}")
         # A fresh array in the input's memory order either way, so a caller's
         # array is never frozen or aliased; -0.0 and small negatives become +0.0.
         W = np.where(W > 0.0, W, 0.0) if lo <= 0.0 else W.copy(order="K")
-        total = W.sum()
+        if W.ndim == 2:
+            total = W.sum()
+        else:   # the row whose sum lies furthest from 1
+            totals = W.sum(axis=(1, 2))
+            total = totals[np.argmax(np.abs(totals - 1.0))]
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total}, expected 1")
         W.flags.writeable = False
@@ -119,10 +129,17 @@ class GhzDiagonalEnsemble:
 
     @property
     def weights(self) -> MappingProxyType:
-        """Read-only mapping of the nonzero weights keyed by GhzLabel."""
-        flat = self.W.T.ravel().tolist()   # all_labels order
-        return MappingProxyType({label: w for label, w in
-                                 zip(_label_tuple(self.n_qubits), flat) if w > 0.0})
+        """Read-only mapping of the nonzero weights keyed by GhzLabel.  For a
+        stack it holds the labels that carry weight in any row, each with
+        the tuple of its weights in the rows."""
+        labels = _label_tuple(self.n_qubits)   # all_labels order
+        if self.W.ndim == 2:
+            flat = self.W.T.ravel().tolist()
+            return MappingProxyType({label: w for label, w in zip(labels, flat)
+                                     if w > 0.0})
+        columns = self.W.transpose(2, 1, 0).reshape(len(labels), -1).tolist()
+        return MappingProxyType({label: tuple(ws) for label, ws in zip(labels, columns)
+                                 if max(ws) > 0.0})
 
     def weight(self, label: GhzLabel) -> float:
         if label.n_qubits != self.n_qubits:
@@ -133,24 +150,44 @@ class GhzDiagonalEnsemble:
         return self.weights.items()
 
     def __repr__(self):
-        return (f"GhzDiagonalEnsemble(n_qubits={self.n_qubits}, "
-                f"{np.count_nonzero(self.W)} labels)")
+        if self.W.ndim == 2:
+            return (f"GhzDiagonalEnsemble(n_qubits={self.n_qubits}, "
+                    f"{np.count_nonzero(self.W)} labels)")
+        return (f"GhzDiagonalEnsemble(n_qubits={self.n_qubits}, {len(self.W)} rows, "
+                f"{len(self.weights)} labels)")
 
 
-def ensemble_fidelity(ens: GhzDiagonalEnsemble) -> float:
-    """Weight of the target state (all-zero rep, sign +1)."""
-    return float(ens.W[0, 0])
+def ensemble_fidelity(ens: GhzDiagonalEnsemble):
+    """Weight of the target state (all-zero rep, sign +1): a float, or an
+    array with one per row of a stack."""
+    return float(ens.W[0, 0]) if ens.W.ndim == 2 else ens.W[:, 0, 0]
 
 
-def build_binary_ensemble(F: float, error_label: GhzLabel, n: int) -> GhzDiagonalEnsemble:
-    """Two-component mixture: F on the target, 1-F on error_label."""
-    if not 0.0 <= F <= 1.0:
-        raise ValueError(f"F must be in [0, 1], got {F}")
+def _fractions(name: str, value) -> np.ndarray:
+    """value as a float array (0-d or 1-D) after checking it lies in [0, 1]."""
+    value = np.asarray(value, dtype=float)
+    if value.ndim > 1:
+        raise ValueError(f"{name} must be a number or a 1-D array, got shape {value.shape}")
+    for v in value.reshape(-1).tolist():
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {v}")
+    return value
+
+
+def build_binary_ensemble(F, error_label: GhzLabel, n: int) -> GhzDiagonalEnsemble:
+    """Two-component mixture: F on the target, 1-F on error_label.  An array
+    of F gives a stack, one row per value."""
+    F = _fractions("F", F)
     target = target_label(n)
     if error_label == target:
         warnings.warn("error_label equals the target; returning the pure target")
-        return GhzDiagonalEnsemble(n, {target: 1.0})
-    return GhzDiagonalEnsemble(n, {target: F, error_label: 1.0 - F})
+        F = np.ones_like(F)
+    elif error_label.n_qubits != n:
+        raise ValueError(f"label {error_label} does not match n_qubits={n}")
+    W = np.zeros(F.shape + (2, 1 << (n - 1)))
+    W[..., (1 - error_label.sign) // 2, int(error_label.rep, 2)] = 1.0 - F
+    W[..., 0, 0] = F
+    return GhzDiagonalEnsemble(n, W)
 
 
 def build_bitflip_ensemble(weights, n: int) -> GhzDiagonalEnsemble:
@@ -172,26 +209,28 @@ def build_bitflip_ensemble(weights, n: int) -> GhzDiagonalEnsemble:
     return GhzDiagonalEnsemble(n, W)
 
 
-def build_werner(x: float, n: int) -> GhzDiagonalEnsemble:
-    """x |phi+><phi+| + (1-x) I/2^n, expressed in the (complete) GHZ basis."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    W = np.full((2, 1 << (n - 1)), (1.0 - x) / (1 << n))
-    W[0, 0] += x
+def build_werner(x, n: int) -> GhzDiagonalEnsemble:
+    """x |phi+><phi+| + (1-x) I/2^n, expressed in the (complete) GHZ basis.
+    An array of x gives a stack, one row per value."""
+    x = _fractions("x", x)
+    W = np.empty(x.shape + (2, 1 << (n - 1)))
+    W.T[...] = (1.0 - x) / (1 << n)   # W.T puts the row axis last
+    W[..., 0, 0] += x
     return GhzDiagonalEnsemble(n, W)
 
 
 def ensemble_to_density(ens: GhzDiagonalEnsemble) -> np.ndarray:
-    """Sum of w |label><label| as a dense 2^n x 2^n matrix: the label (e, s)
-    puts w/2 at (e, e) and (~e, ~e) and s*w/2 at (e, ~e) and (~e, e)."""
+    """Sum of w |label><label| as a dense 2^n x 2^n matrix (one per row of a
+    stack): the label (e, s) puts w/2 at (e, e) and (~e, ~e) and s*w/2 at
+    (e, ~e) and (~e, e).  As ~x = 2^n - 1 - x, the second half of the
+    diagonal and of the anti-diagonal mirrors the first half."""
     dim = 1 << ens.n_qubits
-    x = np.arange(dim)
-    rep = np.minimum(x, x ^ (dim - 1))
-    plus, minus = ens.W
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[x, x] = ((plus + minus) / 2.0)[rep]
-    rho[x, x ^ (dim - 1)] = ((plus - minus) / 2.0)[rep]
-    return rho
+    plus, minus = ens.W[..., 0, :], ens.W[..., 1, :]
+    rho = np.zeros(ens.W.shape[:-2] + (dim * dim,), dtype=complex)
+    for line, half in ((slice(None, None, dim + 1), (plus + minus) / 2.0),
+                       (slice(dim - 1, -1, dim - 1), (plus - minus) / 2.0)):
+        rho[..., line] = np.concatenate((half, half[..., ::-1]), axis=-1)
+    return rho.reshape(ens.W.shape[:-2] + (dim, dim))
 
 
 @lru_cache(maxsize=None)

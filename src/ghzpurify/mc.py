@@ -62,6 +62,8 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if ens.W.ndim != 2:
+        raise ValueError("mc_sample_step takes one ensemble, not a stack")
     step = StepKind(step)
     n = ens.n_qubits
     full = (1 << n) - 1

@@ -39,14 +39,15 @@ class StepKind(str, Enum):
 
 @dataclass
 class StepReport:
-    """Output ensemble and keep probability of one purification step.
+    """Output ensemble and keep probability of one purification step; for a
+    stacked ensemble, keep_probability is an array with one per row.
 
     branch_stats is filled by the Monte Carlo only: ("spurious", "*") holds
     the share of trials kept on a misread verdict, when it is nonzero.
     """
 
     output: GhzDiagonalEnsemble
-    keep_probability: float
+    keep_probability: float | np.ndarray
     branch_stats: dict[tuple[str, str], float] = field(default_factory=dict)
 
 
@@ -76,28 +77,35 @@ def check_ideal_readout(mode: DiscriminationMode):
 
 def _finish(n: int, raw: np.ndarray, scale: float) -> StepReport:
     """raw holds the kept mass of each output label divided by scale; it is
-    normalised in place by the total that gives the keep probability."""
-    total = float(raw.sum())
-    keep = scale * total
-    if keep < MIN_KEEP:
+    normalised in place by the total that gives the keep probability, one
+    per row of a stack."""
+    if raw.ndim == 2:
+        total = float(raw.sum())
+        keep = lowest = scale * total
+    else:
+        total = raw.reshape(len(raw), -1).sum(axis=1)
+        keep = scale * total
+        lowest, total = keep.min(), total[:, None, None]
+    if lowest < MIN_KEEP:
         raise ValueError("keep probability underflowed; input is not purifiable")
     raw /= total
     return StepReport(GhzDiagonalEnsemble(n, raw), keep)
 
 
 def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
-    """Bit-flip correction on two independent copies of the ensemble."""
+    """Bit-flip correction on two independent copies of the ensemble (of
+    every row of a stack)."""
     check_ideal_readout(mode)
     branches = 2 if mode.kind is ModeKind.EVEN_PLUS_ODD else 1
-    wp, wm = ens.W
+    W = ens.W
     # Equal-rep pairs pass each kept branch with probability 1/2 and leave
     # (e, s1*s2); the output does not depend on how many branches are kept.
     # One C-ordered buffer whatever the layout of ens.W, filled in place:
     # (wp^2 + wm^2, (2 wp) wm), each rounded as the plain expression would be.
-    raw = np.multiply(ens.W, ens.W, order="C")
-    raw[0] += raw[1]
-    np.multiply(wp, 2.0, out=raw[1])
-    raw[1] *= wm
+    raw = np.multiply(W, W, order="C")
+    raw[..., 0, :] += raw[..., 1, :]
+    np.multiply(W[..., 0, :], 2.0, out=raw[..., 1, :])
+    raw[..., 1, :] *= W[..., 1, :]
     return _finish(ens.n_qubits, raw, 0.5 * branches)
 
 
@@ -114,7 +122,7 @@ def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
     raw = fwht(F * F)
     if both and n % 2 == 1:
         # opposite-sign pairs, each output row carrying its copy-1 sign
-        raw += fwht(F[0] * F[1])
+        raw += fwht(F[..., :1, :] * F[..., 1:, :])
     # for even n the all-odd branch mirrors the all-even one exactly
     branches = 2 if both and n % 2 == 0 else 1
     return _finish(n, raw, branches * 2.0 ** -(2 * (n - 1)))

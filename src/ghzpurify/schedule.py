@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import exact
 from .ghz import (GhzDiagonalEnsemble, build_binary_ensemble, build_werner,
                   canonical_label, ensemble_fidelity, ensemble_to_density)
@@ -78,6 +76,100 @@ class ScheduleTrace:
         return self.rounds[-1].cumulative_yield
 
 
+def _replay(records: list, period: int, end: int):
+    """Extend a row's records to round `end` by repeating its last cycle.
+
+    The replayed rounds repeat rounds that stayed below any threshold, so a
+    frozen row runs to its round stop; the yield is still multiplied round
+    by round, so it equals the product of a computed run.
+    """
+    for k in range(len(records), end + 1):
+        fid, keep, _, state = records[k - period]
+        records.append((fid, keep, records[-1][2] * (keep / 2.0), state))
+
+
+def _run_rows(initial: GhzDiagonalEnsemble, sched: Schedule, engine: str,
+              record: bool = False) -> list[list[tuple]]:
+    """Run the schedule on one ensemble, or on every row of a stack at once.
+
+    Returns, per row, its records (fidelity, keep, cumulative yield, state)
+    from round 0 on; the state is the round's ensemble with `record` set on
+    one ensemble, else None.  All rows step together, and each stops on its
+    own: at the threshold, at stop_rounds or at MAX_ROUNDS.  A stopped row
+    leaves the stack.  A row whose state (the ensemble, or rho on the exact
+    engine) at a cycle boundary equals, bit for bit, its state at the
+    previous boundary repeats that cycle for ever: it leaves the stack too,
+    and its remaining rounds are replayed from its own records.
+    """
+    if engine not in ("fast", "exact"):
+        raise ValueError(f"engine must be 'fast' or 'exact', got {engine!r}")
+    if engine == "exact" and initial.n_qubits > exact.MAX_QUBITS_EXACT:
+        raise ValueError(f"exact engine is bounded at {exact.MAX_QUBITS_EXACT} qubits")
+    fast = engine == "fast"
+    stacked = initial.W.ndim == 3
+    # a round stop never stops a row at a fidelity
+    thr = math.inf if sched.stop_threshold is None else sched.stop_threshold
+    end = MAX_ROUNDS if sched.stop_rounds is None else sched.stop_rounds
+    steps, mode, period = sched.steps, sched.mode, len(sched.steps)
+    fid = ensemble_fidelity(initial)
+    hist, stop = [], []
+    for f in (fid.tolist() if stacked else [fid]):
+        hist.append([(f, 1.0, 1.0, initial if record else None)])
+        stop.append(f >= thr)
+    rows = list(range(len(hist)))   # the rows still in the stack
+    state = initial if fast else ensemble_to_density(initial)
+    cycle_start = None
+    k = 0
+    while True:
+        if True in stop:
+            rows = [g for g, s in zip(rows, stop) if not s]
+            if not rows:
+                break
+            live = [not s for s in stop]
+            state = GhzDiagonalEnsemble(state.n_qubits, state.W[live]) if fast else state[live]
+            if cycle_start is not None:
+                cycle_start = cycle_start[live]
+        if k == end:
+            break
+        step = steps[k % period]
+        if k % period == 0:
+            cycle_start = state.W if fast else state
+        if fast:
+            report = apply_step(state, step, mode)
+            state, keep = report.output, report.keep_probability
+            fid = ensemble_fidelity(state)
+        else:
+            state, keep = exact.exact_step(state, step, mode)
+            fid = exact.fidelity_to_target(state)
+        k += 1
+        if stacked:
+            fid, keep = fid.tolist(), keep.tolist()
+            for g, f, p in zip(rows, fid, keep):
+                records = hist[g]
+                records.append((f, p, records[-1][2] * (p / 2.0), None))
+            stop = [f >= thr for f in fid]
+        else:   # one row: the same record, with the round's ensemble if asked
+            snap = (state if fast else exact.ghz_diagonal_extract(state)[0]) if record else None
+            records = hist[0]
+            records.append((fid, keep, records[-1][2] * (keep / 2.0), snap))
+            stop = [fid >= thr]
+        if k % period == 0 and k < end:
+            for i, g in enumerate(rows):
+                records = hist[g]
+                # equal states give equal fidelities, so the states are
+                # compared only then (a repeat missed costs a computed cycle)
+                if records[-1][0] == records[-1 - period][0]:
+                    now = (state.W if fast else state).reshape(len(rows), -1)
+                    if (now[i] == cycle_start.reshape(len(rows), -1)[i]).all():
+                        _replay(records, period, end)
+                        stop[i] = True
+    return hist
+
+
+def _converged(sched: Schedule, fid: float) -> bool:
+    return sched.stop_threshold is None or fid >= sched.stop_threshold
+
+
 def run_schedule(initial: GhzDiagonalEnsemble, sched: Schedule,
                  engine: str = "fast", record_ensembles: bool = False) -> ScheduleTrace:
     """Apply the schedule's steps cyclically until its stop condition.
@@ -86,58 +178,19 @@ def run_schedule(initial: GhzDiagonalEnsemble, sched: Schedule,
     rather than an exception.  Once a whole cycle returns the state (the
     ensemble, or rho on the exact engine) to its bits at the cycle's start,
     every later cycle repeats it bit for bit, so its rounds are replayed from
-    the records instead of recomputed.
+    the records instead of recomputed.  This is the loop that `sweep` runs
+    on a stack, here with one row.
     """
-    if engine not in ("fast", "exact"):
-        raise ValueError(f"engine must be 'fast' or 'exact', got {engine!r}")
-    if engine == "exact" and initial.n_qubits > exact.MAX_QUBITS_EXACT:
-        raise ValueError(f"exact engine is bounded at {exact.MAX_QUBITS_EXACT} qubits")
-
-    ens = initial
-    rho = ensemble_to_density(initial) if engine == "exact" else None
-    fid = ensemble_fidelity(initial)
-    rounds = [RoundRecord(0, "-", fid, 1.0, 1.0)]
-    ensembles = [initial] if record_ensembles else []
-    cum_yield = 1.0
-    converged = sched.stop_threshold is not None and fid >= sched.stop_threshold
-
-    period = len(sched.steps)
-    cycle_start = None   # the state at the last cycle boundary
-    repeating = False
-    k = 0
-    while not converged:
-        if sched.stop_rounds is not None and k >= sched.stop_rounds:
-            converged = True
-            break
-        if sched.stop_threshold is not None and k >= MAX_ROUNDS:
-            break
-        step = sched.steps[k % period]
-        if k % period == 0 and not repeating:
-            state = ens.W if engine == "fast" else rho
-            repeating = cycle_start is not None and np.array_equal(state, cycle_start)
-            cycle_start = state
-        if repeating:
-            prev = rounds[k + 1 - period]
-            fid, keep = prev.fidelity, prev.keep_probability
-        elif engine == "fast":
-            report = apply_step(ens, step, sched.mode)
-            ens = report.output
-            fid = ensemble_fidelity(ens)
-            keep = report.keep_probability
-        else:
-            rho, keep = exact.exact_step(rho, step, sched.mode)
-            fid = exact.fidelity_to_target(rho)
-        k += 1
-        cum_yield *= keep / 2.0
-        rounds.append(RoundRecord(k, step.value, fid, keep, cum_yield))
-        if record_ensembles:
-            ensembles.append(ensembles[k - period] if repeating else
-                             ens if engine == "fast" else
-                             exact.ghz_diagonal_extract(rho)[0])
-        if sched.stop_threshold is not None and fid >= sched.stop_threshold:
-            converged = True
-
-    return ScheduleTrace(rounds, converged, ensembles)
+    if initial.W.ndim != 2:
+        raise ValueError("run_schedule takes one ensemble; sweep runs a stack")
+    records = _run_rows(initial, sched, engine, record_ensembles)[0]
+    rounds = [RoundRecord(0, "-", *records[0][:3])]
+    for k in range(1, len(records)):
+        fid, keep, cum, _ = records[k]
+        rounds.append(RoundRecord(k, sched.steps[(k - 1) % len(sched.steps)].value,
+                                  fid, keep, cum))
+    ensembles = [r[3] for r in records] if record_ensembles else []
+    return ScheduleTrace(rounds, _converged(sched, records[-1][0]), ensembles)
 
 
 @dataclass
@@ -150,28 +203,41 @@ class SweepRow:
     converged: bool
 
 
-def _initial_for(param: str, value: float, n: int) -> GhzDiagonalEnsemble:
+# Grid points per stack: bounds the memory of a long sweep (on the exact
+# engine at n = 5 a point holds a 32 x 32 complex rho and its temporaries).
+SWEEP_BLOCK = 256
+
+
+def _initial_for(param: str, values: list, n: int) -> GhzDiagonalEnsemble:
     if param == "x":
-        return build_werner(value, n)
+        return build_werner(values, n)
     if param == "F":
-        return build_binary_ensemble(value, canonical_label("1" + "0" * (n - 1), +1), n)
+        return build_binary_ensemble(values, canonical_label("1" + "0" * (n - 1), +1), n)
     raise ValueError(f"param must be 'x' or 'F', got {param!r}")
 
 
 def sweep(param: str, values, n_qubits: int, template: Schedule,
           engine: str = "fast") -> list[SweepRow]:
     """One schedule run per grid value; param 'x' builds Werner inputs,
-    param 'F' binary bit-flip inputs (error on qubit 1)."""
+    param 'F' binary bit-flip inputs (error on qubit 1).
+
+    The grid runs in blocks of SWEEP_BLOCK points, each block as one stack
+    through the loop of `run_schedule`: every point stops, and replays its
+    repeating cycle, on its own, so a row is the point's own run.  At odd n
+    under even-plus-odd its last digits may differ, since BLAS rounds P2's
+    opposite-sign product of one row and of many rows differently.
+    """
     values = list(values)
     if not values:
         raise ValueError("empty sweep grid")
     rows = []
-    for v in values:
-        initial = _initial_for(param, v, n_qubits)
-        trace = run_schedule(initial, template, engine)
-        rows.append(SweepRow(v, ensemble_fidelity(initial), trace.n_rounds,
-                             trace.final_fidelity, trace.cumulative_yield,
-                             trace.converged))
+    for i in range(0, len(values), SWEEP_BLOCK):
+        block = values[i:i + SWEEP_BLOCK]
+        initial = _initial_for(param, block, n_qubits)
+        for v, records in zip(block, _run_rows(initial, template, engine)):
+            fid, _, cum, _ = records[-1]
+            rows.append(SweepRow(v, records[0][0], len(records) - 1, fid, cum,
+                                 _converged(template, fid)))
     return rows
 
 

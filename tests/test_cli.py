@@ -237,6 +237,47 @@ class TestSweep:
         code = main(["sweep", "--grid", "", "--outdir", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv, config", [
+        (["sweep", "--grid", ""], None),
+        (["sweep"], {"grid": {"param": "x", "values": []}}),
+        (["sweep"], {"grid": {"param": "y", "values": [0.7, 0.8]}}),
+        (["sweep", "--engine", "exact", "--n", "3"], {"grid": {"param": "y", "values": [0.7]}}),
+    ])
+    def test_bad_grid_exits_2_and_writes_no_csv(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert main(argv + ["--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("n, grid", [(3, "0.3:0.9:0.1"), (4, "0.5:0.95:0.075")])
+    @pytest.mark.parametrize("param, schedule, mode", [
+        ("x", "P1,P2", "even-only"),
+        ("F", "P2,P1", "even-plus-odd"),
+        ("x", "P1", "six-mode-pbs"),
+    ])
+    def test_exact_engine_sweep_agrees_with_fast(self, tmp_path, n, grid, param,
+                                                 schedule, mode):
+        rows = {}
+        for engine in ("fast", "exact"):
+            out = tmp_path / engine
+            code = main(["sweep", "--engine", engine, "--n", str(n), "--param", param,
+                         "--grid", grid, "--schedule", schedule, "--mode", mode,
+                         "--threshold", "0.99", "--outdir", str(out)])
+            assert code == EXIT_OK
+            rows[engine] = read_csv(out / "sweep.csv")[1:]
+        assert len(rows["fast"]) == 7
+        for fast, dense in zip(rows["fast"], rows["exact"]):
+            assert fast[:3] == dense[:3]           # value, initial fidelity, rounds
+            assert fast[5] == dense[5]             # converged
+            assert abs(float(fast[3]) - float(dense[3])) < 1e-9
+            # the tier-1 keep tolerance, 1e-12, compounded over the rounds
+            assert float(fast[4]) == pytest.approx(float(dense[4]),
+                                                   rel=1e-12 * max(int(fast[2]), 1))
+
     def test_plateauing_sweep_is_deterministic(self, tmp_path):
         # Most of this grid plateaus below the threshold and replays its
         # repeating cycle up to MAX_ROUNDS.

@@ -328,3 +328,27 @@ class TestDiagonalExtract:
         rho = projector((plus + vec(2, {"01": 1.0})) / np.sqrt(2))
         _, residual = ghz_diagonal_extract(rho)
         assert residual > 1e-3
+
+
+class TestStackedDenseSteps:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mode", [EVEN_ONLY, EVEN_PLUS_ODD], ids=["even", "both"])
+    def test_rows_equal_single_steps(self, n, mode):
+        rng = np.random.default_rng(n)
+        rho = np.stack([random_density(n, rng) for _ in range(3)])
+        for step in StepKind:
+            out, keep = exact.exact_step(rho, step, mode)
+            assert keep.shape == (3,)
+            for r, o, k in zip(rho, out, keep):
+                o1, k1 = exact.exact_step(r, step, mode)
+                assert_allclose(o, o1, rtol=0, atol=1e-15)
+                assert k == pytest.approx(k1, rel=1e-14)
+        fid = fidelity_to_target(rho)
+        assert list(fid) == [fidelity_to_target(r) for r in rho]
+
+    def test_only_the_dense_steps_take_a_stack(self):
+        rho = np.stack([phi_plus(), phi_plus()])
+        with pytest.raises(ValueError, match="power-of-two"):
+            ghz_diagonal_extract(rho)
+        with pytest.raises(ValueError, match="power-of-two"):
+            tensor_pair(rho)

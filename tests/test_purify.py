@@ -277,3 +277,49 @@ class TestBitIdentity:
                 assert rep.keep_probability == keep
                 # C order, so the next step sums in the reference's order
                 assert rep.output.W.flags.c_contiguous
+
+
+@st.composite
+def stacks(draw):
+    """1 to 5 rows at one n = 2..6, drawn as step_inputs draws one."""
+    n = draw(st.integers(2, 6))
+    rows = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=1 << n, max_size=1 << n),
+                         min_size=1, max_size=5))
+    W = np.array(rows)
+    W[:, 0] += 1e-3
+    W /= W.sum(axis=1, keepdims=True)
+    return GhzDiagonalEnsemble(n, W.reshape(len(W), -1, 2).transpose(0, 2, 1))
+
+
+class TestStackedSteps:
+    """A step on a stack gives each row the output and keep of the step on
+    that row alone: bit for bit, except the opposite-sign term of P2 at odd
+    n under even-plus-odd, whose product BLAS may round per row count."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(stacks())
+    def test_rows_equal_single_steps(self, stack):
+        n = stack.n_qubits
+        for step in StepKind:
+            for mode in (EVEN_ONLY, EVEN_PLUS_ODD, SIX_MODE):
+                rep = apply_step(stack, step, mode)
+                assert rep.keep_probability.shape == (len(stack.W),)
+                for W, out, keep in zip(stack.W, rep.output.W, rep.keep_probability):
+                    single = apply_step(GhzDiagonalEnsemble(n, W), step, mode)
+                    if step is StepKind.P2 and mode is EVEN_PLUS_ODD and n % 2:
+                        np.testing.assert_allclose(out, single.output.W,
+                                                   rtol=1e-12, atol=1e-300)
+                        assert keep == pytest.approx(single.keep_probability, rel=1e-12)
+                    else:
+                        assert out.tobytes() == single.output.W.tobytes()
+                        assert keep == single.keep_probability
+
+    def test_keep_floor_is_checked_per_row(self, monkeypatch):
+        from ghzpurify import purify
+        # P1 keeps half the sum over reps of (w+ + w-)^2: 0.5 for a pure
+        # row, 0.125 for the uniform row at n = 3.
+        stack = build_werner(np.array([1.0, 0.0]), 3)
+        monkeypatch.setattr(purify, "MIN_KEEP", 0.2)
+        with pytest.raises(ValueError, match="underflowed"):
+            p1_step(stack, EVEN_ONLY)
+        assert p1_step(GhzDiagonalEnsemble(3, stack.W[0]), EVEN_ONLY).keep_probability == 0.5

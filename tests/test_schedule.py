@@ -1,5 +1,10 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghzpurify import schedule
 from ghzpurify.exact import (exact_step, fidelity_to_target,
@@ -9,7 +14,7 @@ from ghzpurify.ghz import (GhzLabel, build_binary_ensemble, build_werner,
                            ensemble_to_density)
 from ghzpurify.optics import DiscriminationMode
 from ghzpurify.purify import StepKind, apply_step
-from ghzpurify.schedule import (MAX_ROUNDS, RoundRecord, Schedule,
+from ghzpurify.schedule import (MAX_ROUNDS, SWEEP_BLOCK, RoundRecord, Schedule,
                                 compare_orderings, run_schedule, sweep)
 
 EVEN_ONLY = DiscriminationMode.even_only()
@@ -227,6 +232,118 @@ class TestSweep:
         sched = Schedule(P1, EVEN_ONLY, stop_threshold=0.99)
         with pytest.raises(ValueError):
             sweep("x", [], 3, sched)
+
+    def test_run_schedule_takes_one_ensemble(self):
+        sched = Schedule(P1, EVEN_ONLY, stop_threshold=0.99)
+        with pytest.raises(ValueError, match="one ensemble"):
+            run_schedule(build_werner(np.array([0.8, 0.9]), 3), sched)
+
+
+def initial_for(param, value, n):
+    return build_werner(value, n) if param == "x" else flip_on_qubit_1(value, n)
+
+
+def assert_rows_match_stepwise(rows, param, values, n, sched, engine):
+    """Each row against its point run round by round (`stepwise`): bit for
+    bit at n = 6, else to 1e-12 relative; rounds and the verdict exactly."""
+    assert [r.value for r in rows] == values
+    for row in rows:
+        initial = initial_for(param, row.value, n)
+        rounds, _ = stepwise(initial, sched, engine)
+        last = rounds[-1]
+        converged = (sched.stop_threshold is None
+                     or last.fidelity >= sched.stop_threshold)
+        assert row.initial_fidelity == ensemble_fidelity(initial)
+        assert (row.rounds, row.converged) == (len(rounds) - 1, converged)
+        if n == 6:
+            assert (row.final_fidelity, row.cumulative_yield) == (
+                last.fidelity, last.cumulative_yield)
+        else:
+            assert math.isclose(row.final_fidelity, last.fidelity, rel_tol=1e-12)
+            assert math.isclose(row.cumulative_yield, last.cumulative_yield,
+                                rel_tol=1e-12)
+
+
+STEP_ORDERS = (P1, (StepKind.P2,), P1P2, P2P1, P1P2P2)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A grid of up to 7 points, each run in blocks of 1 to 8 points."""
+    n = draw(st.integers(2, 6))
+    engine = draw(st.sampled_from(("fast", "exact"))) if n <= 4 else "fast"
+    param = draw(st.sampled_from("xF"))
+    steps = draw(st.sampled_from(STEP_ORDERS))
+    mode = draw(st.sampled_from((EVEN_ONLY, EVEN_PLUS_ODD, SIX_MODE)))
+    if draw(st.booleans()):
+        stop = {"stop_threshold": draw(st.sampled_from((0.9, 0.99, 0.999, 1.0)))}
+    else:
+        stop = {"stop_rounds": draw(st.integers(0, MAX_ROUNDS))}
+    values = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0),
+                           min_size=1, max_size=7))
+    block = draw(st.integers(1, 8))
+    return n, engine, param, Schedule(steps, mode, **stop), values, block
+
+
+class TestSweepAgainstStepwise:
+    """A sweep runs its grid as stacks; every row must still equal its own
+    point run round by round, whatever the stack does to its neighbours."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(sweep_cases())
+    # plateaus below the threshold and replays to MAX_ROUNDS, beside points
+    # that start converged or converge
+    @example((6, "fast", "F", Schedule(P2P1, EVEN_ONLY, stop_threshold=0.99),
+              [0.6, 1.0, 0.97, 0.55, 0.99], 2))
+    @example((3, "fast", "x", Schedule(P1, EVEN_ONLY, stop_threshold=0.99),
+              [0.8, 1.0, 0.3], 2))
+    # round stops that end mid-cycle after a replay
+    @example((6, "fast", "F", Schedule(P2P1, EVEN_ONLY, stop_rounds=41),
+              [0.6, 0.7, 1.0], 3))
+    @example((4, "fast", "F", Schedule(P1P2P2, EVEN_ONLY, stop_rounds=50),
+              [0.6, 0.8], 1))
+    @example((4, "exact", "x", Schedule(P1, EVEN_ONLY, stop_rounds=30),
+              [0.8, 0.1, 1.0], 2))
+    # 0.8 stops at round 19, mid-cycle, and 0.74 repeats at round 21
+    @example((4, "fast", "F", Schedule(P1P2P2, EVEN_ONLY, stop_threshold=0.99),
+              [0.8, 0.74], 2))
+    # odd n under even-plus-odd: the opposite-sign term of P2
+    @example((5, "fast", "x", Schedule(P2P1, EVEN_PLUS_ODD, stop_threshold=0.999),
+              [0.4, 0.6, 0.8, 0.95], 3))
+    @example((3, "exact", "F", Schedule(P1P2P2, EVEN_PLUS_ODD, stop_threshold=0.99),
+              [0.55, 0.7, 1.0], 8))
+    def test_rows_equal_their_point_runs(self, case):
+        n, engine, param, sched, values, block = case
+        with mock.patch("ghzpurify.schedule.SWEEP_BLOCK", block):
+            rows = sweep(param, values, n, sched, engine)
+        assert_rows_match_stepwise(rows, param, values, n, sched, engine)
+
+    def test_a_stack_steps_the_rows_its_point_runs_step(self, monkeypatch):
+        """A row leaves the stack when it stops or starts to repeat, so the
+        stack steps as many rows as the point runs step, fewer than their
+        rounds."""
+        stepped = []
+
+        def counting(ens, step, mode):
+            stepped.append(len(ens.W) if ens.W.ndim == 3 else 1)
+            return apply_step(ens, step, mode)
+
+        monkeypatch.setattr(schedule, "apply_step", counting)
+        sched = Schedule(P1P2P2, EVEN_ONLY, stop_threshold=0.99)
+        values = [0.78, 0.45, 0.8, 0.74, 0.93, 1.0]
+        rows = sweep("F", values, 4, sched)
+        in_stack = sum(stepped)
+        stepped.clear()
+        for v in values:
+            run_schedule(flip_on_qubit_1(v, 4), sched)
+        assert in_stack == sum(stepped) < sum(r.rounds for r in rows)
+
+    def test_a_grid_longer_than_one_block(self):
+        values = [0.5 + 0.5 * i / (SWEEP_BLOCK + 10) for i in range(SWEEP_BLOCK + 11)]
+        sched = Schedule(P2P1, EVEN_PLUS_ODD, stop_threshold=0.99)
+        rows = sweep("F", values, 6, sched)
+        assert_rows_match_stepwise(rows, "F", values, 6, sched, "fast")
+        assert {r.converged for r in rows} == {True, False}
 
 
 class TestCompareOrderings:
