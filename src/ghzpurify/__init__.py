@@ -4,7 +4,7 @@ N-qubit GHZ ensembles."""
 from .ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                   build_binary_ensemble, build_bitflip_ensemble, build_werner,
                   canonical_label, ensemble_fidelity, ensemble_to_density,
-                  ghz_label_to_state, hadamard_all, target_label)
+                  ghz_label_to_state, target_label)
 from .optics import (DiscriminationMode, KerrInteraction, ModeKind, ProbeBeam,
                      ShiftClass, Verdict, discriminate, kerr_evolve,
                      qnd_parity_shift, six_mode_keep)
@@ -20,7 +20,7 @@ __all__ = [
     "GhzDiagonalEnsemble", "GhzLabel", "all_labels", "build_binary_ensemble",
     "build_bitflip_ensemble", "build_werner", "canonical_label",
     "ensemble_fidelity", "ensemble_to_density", "ghz_label_to_state",
-    "hadamard_all", "target_label",
+    "target_label",
     "DiscriminationMode", "KerrInteraction", "ModeKind", "ProbeBeam",
     "ShiftClass", "Verdict", "discriminate", "kerr_evolve", "qnd_parity_shift",
     "six_mode_keep",

@@ -8,18 +8,14 @@ qubit-1-first and interpreted as big-endian integer indices.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
 
-ATOL = 1e-12
 MAX_QUBITS_FAST = 6
 MAX_QUBITS_EXACT = 5
-
-_H1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -146,9 +142,6 @@ class GhzDiagonalEnsemble:
             return 0.0
         return float(self.W[(1 - label.sign) // 2, int(label.rep, 2)])
 
-    def items(self):
-        return self.weights.items()
-
     def __repr__(self):
         if self.W.ndim == 2:
             return (f"GhzDiagonalEnsemble(n_qubits={self.n_qubits}, "
@@ -178,11 +171,10 @@ def build_binary_ensemble(F, error_label: GhzLabel, n: int) -> GhzDiagonalEnsemb
     """Two-component mixture: F on the target, 1-F on error_label.  An array
     of F gives a stack, one row per value."""
     F = _fractions("F", F)
-    target = target_label(n)
-    if error_label == target:
-        warnings.warn("error_label equals the target; returning the pure target")
-        F = np.ones_like(F)
-    elif error_label.n_qubits != n:
+    if error_label == target_label(n):
+        raise ValueError(f"error label {error_label.rep} (or its complement) with "
+                         "sign +1 is the target state")
+    if error_label.n_qubits != n:
         raise ValueError(f"label {error_label} does not match n_qubits={n}")
     W = np.zeros(F.shape + (2, 1 << (n - 1)))
     W[..., (1 - error_label.sign) // 2, int(error_label.rep, 2)] = 1.0 - F
@@ -233,28 +225,6 @@ def ensemble_to_density(ens: GhzDiagonalEnsemble) -> np.ndarray:
     return rho.reshape(ens.W.shape[:-2] + (dim, dim))
 
 
-@lru_cache(maxsize=None)
-def hadamard_matrix(n: int) -> np.ndarray:
-    """H^(x)n as a dense 2^n x 2^n matrix, read-only: every caller shares it."""
-    H = reduce(np.kron, [_H1] * n, np.ones((1, 1), dtype=complex))
-    H.flags.writeable = False
-    return H
-
-
-def hadamard_all(obj: np.ndarray) -> np.ndarray:
-    """Apply H on every qubit of a state vector or density matrix."""
-    obj = np.asarray(obj)
-    n = obj.shape[0].bit_length() - 1
-    if 1 << n != obj.shape[0]:
-        raise ValueError(f"dimension {obj.shape[0]} is not a power of two")
-    H = hadamard_matrix(n)
-    if obj.ndim == 1:
-        return H @ obj
-    if obj.ndim == 2:
-        return H @ obj @ H
-    raise ValueError("expected a vector or a square matrix")
-
-
 FWHT_RADIX = 32
 
 
@@ -265,6 +235,15 @@ def _sylvester(r: int) -> np.ndarray:
                np.ones((1, 1)))
     S.flags.writeable = False
     return S
+
+
+@lru_cache(maxsize=None)
+def hadamard_matrix(n: int) -> np.ndarray:
+    """H^(x)n as a dense complex 2^n x 2^n matrix: the Sylvester matrix
+    scaled by 2^(-n/2), read-only, as every caller shares it."""
+    H = (_sylvester(1 << n) * 2.0 ** (-n / 2)).astype(complex)
+    H.flags.writeable = False
+    return H
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
@@ -292,11 +271,6 @@ def fwht(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def ghz_basis_matrix(n: int) -> np.ndarray:
-    """Columns are the 2^n GHZ basis vectors in all_labels(n) order."""
-    return np.column_stack([ghz_label_to_state(lab, n) for lab in all_labels(n)])
-
-
 def random_ghz_diagonal(n: int, rng: np.random.Generator) -> GhzDiagonalEnsemble:
     """Random ensemble with Dirichlet(1) weights over all labels."""
     w = rng.dirichlet(np.ones(1 << n))   # in all_labels(n) order
@@ -310,12 +284,3 @@ def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
-
-
-def is_valid_density(rho: np.ndarray, atol: float = ATOL) -> bool:
-    """Hermitian, trace one, eigenvalues >= -1e-10."""
-    if not np.allclose(rho, rho.conj().T, atol=atol):
-        return False
-    if abs(np.trace(rho) - 1.0) > atol:
-        return False
-    return bool(np.linalg.eigvalsh(rho).min() >= -1e-10)

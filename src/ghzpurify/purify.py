@@ -112,20 +112,24 @@ def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
 def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
     """Phase-flip correction via Hadamard-frame parity checking.
 
-    A kept pair (probability 2^-(n-1)) leaves rep e1 xor e2: a sign row maps
-    to its XOR autoconvolution, fwht(fwht(row)^2) / 2^(n-1).
+    A kept pair (probability 2^-(n-1)) leaves rep e1 xor e2, so the step is
+    one XOR convolution, the P2 map of Murao et al., PRA 57, R4075 (1998):
+    with F = fwht(W), each sign row s maps to fwht(F_s^2) / 2^(n-1).  Under
+    even-plus-odd at odd n the opposite-sign pairs pass too, each output row
+    carrying its copy-1 sign, so F_+ F_- joins both squares before the one
+    inverse transform.  Every step takes two transforms of a (..., 2, m)
+    block, whatever the stack height.
     """
     check_ideal_readout(mode)
     n = ens.n_qubits
     both = mode.kind is ModeKind.EVEN_PLUS_ODD
     F = fwht(ens.W)
-    raw = fwht(F * F)
+    P = F * F
     if both and n % 2 == 1:
-        # opposite-sign pairs, each output row carrying its copy-1 sign
-        raw += fwht(F[..., :1, :] * F[..., 1:, :])
+        P += F[..., :1, :] * F[..., 1:, :]
     # for even n the all-odd branch mirrors the all-even one exactly
     branches = 2 if both and n % 2 == 0 else 1
-    return _finish(n, raw, branches * 2.0 ** -(2 * (n - 1)))
+    return _finish(n, fwht(P), branches * 2.0 ** -(2 * (n - 1)))
 
 
 def apply_step(ens: GhzDiagonalEnsemble, step: StepKind | str,

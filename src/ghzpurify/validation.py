@@ -12,7 +12,7 @@ import numpy as np
 
 from . import exact
 from .ghz import (MAX_QUBITS_EXACT, GhzLabel, all_labels, ensemble_to_density,
-                  ghz_label_to_state, hadamard_all, random_density,
+                  ghz_label_to_state, hadamard_matrix, random_density,
                   random_ghz_diagonal)
 from .optics import DiscriminationMode
 from .purify import StepKind, apply_step, correction_for_outcome
@@ -55,7 +55,7 @@ def check_h_grouping(n_max: int = 5) -> CheckResult:
     worst = 0.0
     for n in range(2, n_max + 1):
         for label in all_labels(n):
-            got = hadamard_all(ghz_label_to_state(label, n))
+            got = hadamard_matrix(n) @ ghz_label_to_state(label, n)
             worst = max(worst, float(np.abs(got - rotated_ghz_expansion(label, n)).max()))
     return CheckResult("h_grouping", worst < 1e-12, worst)
 
@@ -84,8 +84,8 @@ def check_state_reproduction() -> CheckResult:
 
     # Phase-flip step: Hadamard-frame even-parity survivors of the binary
     # phase ensemble's pure branches.
-    psi_p = hadamard_all(phi)
-    psi_m = hadamard_all(ghz_label_to_state(GhzLabel("000", -1), 3))
+    psi_p = hadamard_matrix(3) @ phi
+    psi_m = hadamard_matrix(3) @ ghz_label_to_state(GhzLabel("000", -1), 3)
     expect_p = _vec(6, {s: 0.5 for s in ("000000", "011011", "101101", "110110")})
     expect_m = _vec(6, {s: 0.5 for s in ("001001", "010010", "100100", "111111")})
     for vec, expected in ((psi_p, expect_p), (psi_m, expect_m)):
@@ -120,7 +120,7 @@ def check_measurement_sign_patterns() -> CheckResult:
     worst = 0.0
     for sign, outcomes in ((+1, (0b000, 0b011, 0b101, 0b110)),
                            (-1, (0b001, 0b010, 0b100, 0b111))):
-        vec = hadamard_all(ghz_label_to_state(GhzLabel("000", sign), 3))
+        vec = hadamard_matrix(3) @ ghz_label_to_state(GhzLabel("000", sign), 3)
         pair = exact.tensor_pair(np.outer(vec, vec.conj()))
         blocks = exact.copy2_outcome_blocks(exact.project_parity(pair, "even")[0])
         for m in outcomes:

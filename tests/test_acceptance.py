@@ -13,7 +13,7 @@ from ghzpurify import exact
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            build_binary_ensemble, build_werner,
                            ensemble_fidelity, ensemble_to_density,
-                           ghz_label_to_state, hadamard_all, hadamard_matrix,
+                           ghz_label_to_state, hadamard_matrix,
                            random_ghz_diagonal)
 from ghzpurify.mc import mc_sample_step
 from ghzpurify.optics import DiscriminationMode
@@ -132,7 +132,7 @@ _ROTATED_TABLE = {
 def test_criterion_4_hadamard_grouping_table():
     worst = 0.0
     for (rep, sign), terms in _ROTATED_TABLE.items():
-        got = hadamard_all(ghz_label_to_state(GhzLabel(rep, sign), 3))
+        got = hadamard_matrix(3) @ ghz_label_to_state(GhzLabel(rep, sign), 3)
         want = np.zeros(8, dtype=complex)
         for bits, amp in terms.items():
             want[int(bits, 2)] = amp / 2.0
@@ -140,7 +140,7 @@ def test_criterion_4_hadamard_grouping_table():
     # even/odd-weight grouping for larger registers
     for n in (2, 3, 4, 5):
         for label in all_labels(n):
-            got = hadamard_all(ghz_label_to_state(label, n))
+            got = hadamard_matrix(n) @ ghz_label_to_state(label, n)
             worst = max(worst, float(
                 np.abs(got - rotated_ghz_expansion(label, n)).max()))
     _report(4, "rotated-basis table and parity grouping", worst < 1e-12,

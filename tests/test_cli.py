@@ -160,6 +160,8 @@ class TestConfigErrors:
         (["run"], {"initial": {"type": "bitflip", "weights": ["0.7", 0.1, 0.1, 0.1]}}),
         (["run"], {"initial": {"type": "binary", "F": "0.9"}}),
         (["run"], {"initial": {"type": "binary", "F": 0.9, "error_sign": "-1"}}),
+        (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": "000"}}),
+        (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": "111"}}),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"

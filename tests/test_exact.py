@@ -9,11 +9,11 @@ from ghzpurify.exact import (bruteforce_step, copy2_outcome_blocks,
                              project_parity, tensor_pair)
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            build_binary_ensemble, build_werner, ensemble_to_density,
-                           ghz_basis_matrix, ghz_label_to_state, hadamard_matrix,
-                           is_valid_density, random_density, random_ghz_diagonal,
-                           target_label)
+                           ghz_label_to_state, hadamard_matrix, random_density,
+                           random_ghz_diagonal, target_label)
 from ghzpurify.optics import DiscriminationMode
 from ghzpurify.purify import StepKind, correction_for_outcome
+from ghz_helpers import ghz_basis_matrix, is_valid_density
 
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()

@@ -6,9 +6,9 @@ from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            build_binary_ensemble, build_bitflip_ensemble,
                            build_werner, canonical_label, complement,
                            ensemble_fidelity, ensemble_to_density, fwht,
-                           ghz_basis_matrix, ghz_label_to_state, hadamard_all,
-                           hadamard_matrix, is_valid_density,
+                           ghz_label_to_state, hadamard_matrix,
                            random_ghz_diagonal, target_label)
+from ghz_helpers import ghz_basis_matrix, is_valid_density
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -91,10 +91,9 @@ class TestEnsembles:
         ens = build_binary_ensemble(1.0, GhzLabel("011", +1), 3)
         assert ensemble_fidelity(ens) == 1.0
 
-    def test_binary_degenerate_warns(self):
-        with pytest.warns(UserWarning):
-            ens = build_binary_ensemble(0.8, target_label(3), 3)
-        assert ensemble_fidelity(ens) == 1.0
+    def test_binary_error_label_equal_to_the_target_raises(self):
+        with pytest.raises(ValueError, match="is the target"):
+            build_binary_ensemble(0.8, target_label(3), 3)
 
     def test_bitflip_ensemble_labels(self):
         ens = build_bitflip_ensemble([0.7, 0.1, 0.1, 0.1], 3)
@@ -294,23 +293,24 @@ class TestDensity:
 
 class TestHadamard:
     def test_single_qubit(self):
-        got = hadamard_all(np.array([1.0, 0.0], dtype=complex))
+        got = hadamard_matrix(1) @ np.array([1.0, 0.0], dtype=complex)
         assert_allclose(got, np.array([S2, S2]), atol=1e-15)
 
     def test_target_maps_to_even_weight_plus_state(self):
-        got = hadamard_all(ghz_label_to_state(target_label(3), 3))
+        got = hadamard_matrix(3) @ ghz_label_to_state(target_label(3), 3)
         expected = vec(3, {s: 0.5 for s in ("000", "011", "101", "110")})
         assert_allclose(got, expected, atol=1e-12)
 
     def test_involution(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=16) + 1j * rng.normal(size=16)
-        assert_allclose(hadamard_all(hadamard_all(v)), v, atol=1e-12)
+        H = hadamard_matrix(4)
+        assert_allclose(H @ (H @ v), v, atol=1e-12)
 
     def test_sign_groups_have_disjoint_weight_parity_support(self):
         for n in (2, 3, 4, 5):
             for label in all_labels(n):
-                rotated = hadamard_all(ghz_label_to_state(label, n))
+                rotated = hadamard_matrix(n) @ ghz_label_to_state(label, n)
                 want_parity = 0 if label.sign == +1 else 1
                 for x in range(1 << n):
                     if bin(x).count("1") % 2 != want_parity:
@@ -318,6 +318,7 @@ class TestHadamard:
 
     def test_cached_matrix_is_read_only(self):
         H = hadamard_matrix(3)
+        assert H.dtype == complex and H.shape == (8, 8)
         with pytest.raises(ValueError):
             H[0, 0] = 0.0
         assert_allclose(H @ H, np.eye(8), atol=1e-12)
@@ -326,7 +327,12 @@ class TestHadamard:
 class TestFwht:
     @pytest.mark.parametrize("k", range(11))
     def test_matches_the_sylvester_matrix(self, k):
-        S = np.rint(hadamard_matrix(k).real * 2 ** (k / 2))
+        # (-1)^popcount(i & j), built bit by bit, not from the library's matrices
+        ij = np.arange(1 << k)[:, None] & np.arange(1 << k)
+        parity = np.zeros_like(ij)
+        for bit in range(k):
+            parity ^= ij >> bit & 1
+        S = 1.0 - 2.0 * parity
         # each row of the identity picks out one column: exact +-1 entries
         assert np.array_equal(fwht(np.eye(1 << k)), S)
         a = np.random.default_rng(k).normal(size=(3, 2, 1 << k))

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from ghzpurify.exact import exact_step, ghz_diagonal_extract
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, ensemble_to_density,
-                           is_valid_density, target_label)
+                           target_label)
 from ghzpurify.mc import mc_sample_step
 from ghzpurify.optics import DiscriminationMode, ModeKind
 from ghzpurify.purify import StepKind, apply_step
+from ghz_helpers import is_valid_density
 
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()
@@ -45,8 +46,8 @@ def pair_reference(ens, step, mode):
     n = ens.n_qubits
     odd_kept = mode.kind is ModeKind.EVEN_PLUS_ODD
     raw = {}
-    for a, wa in ens.items():
-        for b, wb in ens.items():
+    for a, wa in ens.weights.items():
+        for b, wb in ens.weights.items():
             if step is StepKind.P1:
                 if a.rep != b.rep:
                     continue

@@ -1,4 +1,3 @@
-import math
 from unittest import mock
 
 import numpy as np
@@ -245,7 +244,7 @@ def initial_for(param, value, n):
 
 def assert_rows_match_stepwise(rows, param, values, n, sched, engine):
     """Each row against its point run round by round (`stepwise`): bit for
-    bit at n = 6, else to 1e-12 relative; rounds and the verdict exactly."""
+    bit, rounds and the verdict included."""
     assert [r.value for r in rows] == values
     for row in rows:
         initial = initial_for(param, row.value, n)
@@ -255,13 +254,8 @@ def assert_rows_match_stepwise(rows, param, values, n, sched, engine):
                      or last.fidelity >= sched.stop_threshold)
         assert row.initial_fidelity == ensemble_fidelity(initial)
         assert (row.rounds, row.converged) == (len(rounds) - 1, converged)
-        if n == 6:
-            assert (row.final_fidelity, row.cumulative_yield) == (
-                last.fidelity, last.cumulative_yield)
-        else:
-            assert math.isclose(row.final_fidelity, last.fidelity, rel_tol=1e-12)
-            assert math.isclose(row.cumulative_yield, last.cumulative_yield,
-                                rel_tol=1e-12)
+        assert (row.final_fidelity, row.cumulative_yield) == (
+            last.fidelity, last.cumulative_yield)
 
 
 STEP_ORDERS = (P1, (StepKind.P2,), P1P2, P2P1, P1P2P2)
