@@ -147,7 +147,7 @@ class GhzDiagonalEnsemble:
             return (f"GhzDiagonalEnsemble(n_qubits={self.n_qubits}, "
                     f"{np.count_nonzero(self.W)} labels)")
         return (f"GhzDiagonalEnsemble(n_qubits={self.n_qubits}, {len(self.W)} rows, "
-                f"{len(self.weights)} labels)")
+                f"{np.count_nonzero((self.W > 0).any(axis=0))} labels)")
 
 
 def ensemble_fidelity(ens: GhzDiagonalEnsemble):

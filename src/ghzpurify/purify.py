@@ -75,10 +75,13 @@ def check_ideal_readout(mode: DiscriminationMode):
                          "use mc_sample_step for noisy readout")
 
 
-def _finish(n: int, raw: np.ndarray, scale: float) -> StepReport:
+def _finish(raw: np.ndarray, scale: float):
     """raw holds the kept mass of each output label divided by scale; it is
     normalised in place by the total that gives the keep probability, one
-    per row of a stack."""
+    per row of a stack.  Returns (W', keep) with W' checked as the ensemble
+    constructor checks it: a keep below MIN_KEEP or NaN raises, and so does
+    a weight below -1e-10; round-off negatives and -0.0 become +0.0.  Each
+    row sums to one, as it is divided by its own total."""
     if raw.ndim == 2:
         total = float(raw.sum())
         keep = lowest = scale * total
@@ -86,31 +89,35 @@ def _finish(n: int, raw: np.ndarray, scale: float) -> StepReport:
         total = raw.reshape(len(raw), -1).sum(axis=1)
         keep = scale * total
         lowest, total = keep.min(), total[:, None, None]
-    if lowest < MIN_KEEP:
-        raise ValueError("keep probability underflowed; input is not purifiable")
+    if not lowest >= MIN_KEEP:
+        raise ValueError("keep probability underflowed or is NaN; "
+                         "input is not purifiable")
     raw /= total
-    return StepReport(GhzDiagonalEnsemble(n, raw), keep)
+    lo = raw.min()
+    if not lo >= -1e-10:
+        raise ValueError(f"weights must be >= -1e-10 and not NaN, got {lo}")
+    return (np.where(raw > 0.0, raw, 0.0) if lo <= 0.0 else raw), keep
 
 
-def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
-    """Bit-flip correction on two independent copies of the ensemble (of
-    every row of a stack)."""
+def p1_map(W: np.ndarray, mode: DiscriminationMode):
+    """Bit-flip correction on two independent copies of the weights W (of
+    every row of a stack): (W, mode) -> (W', keep)."""
     check_ideal_readout(mode)
     branches = 2 if mode.kind is ModeKind.EVEN_PLUS_ODD else 1
-    W = ens.W
     # Equal-rep pairs pass each kept branch with probability 1/2 and leave
     # (e, s1*s2); the output does not depend on how many branches are kept.
-    # One C-ordered buffer whatever the layout of ens.W, filled in place:
+    # One C-ordered buffer whatever the layout of W, filled in place:
     # (wp^2 + wm^2, (2 wp) wm), each rounded as the plain expression would be.
     raw = np.multiply(W, W, order="C")
     raw[..., 0, :] += raw[..., 1, :]
     np.multiply(W[..., 0, :], 2.0, out=raw[..., 1, :])
     raw[..., 1, :] *= W[..., 1, :]
-    return _finish(ens.n_qubits, raw, 0.5 * branches)
+    return _finish(raw, 0.5 * branches)
 
 
-def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
-    """Phase-flip correction via Hadamard-frame parity checking.
+def p2_map(W: np.ndarray, mode: DiscriminationMode):
+    """Phase-flip correction via Hadamard-frame parity checking on the
+    weights W (of every row of a stack): (W, mode) -> (W', keep).
 
     A kept pair (probability 2^-(n-1)) leaves rep e1 xor e2, so the step is
     one XOR convolution, the P2 map of Murao et al., PRA 57, R4075 (1998):
@@ -121,15 +128,36 @@ def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
     block, whatever the stack height.
     """
     check_ideal_readout(mode)
-    n = ens.n_qubits
+    n = W.shape[-1].bit_length()   # m = 2^(n-1)
     both = mode.kind is ModeKind.EVEN_PLUS_ODD
-    F = fwht(ens.W)
+    F = fwht(W)
     P = F * F
     if both and n % 2 == 1:
         P += F[..., :1, :] * F[..., 1:, :]
     # for even n the all-odd branch mirrors the all-even one exactly
     branches = 2 if both and n % 2 == 0 else 1
-    return _finish(n, fwht(P), branches * 2.0 ** -(2 * (n - 1)))
+    return _finish(fwht(P), branches * 2.0 ** -(2 * (n - 1)))
+
+
+def step_map(W: np.ndarray, step: StepKind | str, mode: DiscriminationMode):
+    """One step on the weights W: (W, step, mode) -> (W', keep)."""
+    if not isinstance(step, StepKind):
+        step = StepKind(step)
+    return (p1_map if step is StepKind.P1 else p2_map)(W, mode)
+
+
+def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
+    """`p1_map` on the ensemble's weights, its output wrapped in a checked
+    ensemble."""
+    W, keep = p1_map(ens.W, mode)
+    return StepReport(GhzDiagonalEnsemble(ens.n_qubits, W), keep)
+
+
+def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
+    """`p2_map` on the ensemble's weights, its output wrapped in a checked
+    ensemble."""
+    W, keep = p2_map(ens.W, mode)
+    return StepReport(GhzDiagonalEnsemble(ens.n_qubits, W), keep)
 
 
 def apply_step(ens: GhzDiagonalEnsemble, step: StepKind | str,

@@ -9,7 +9,7 @@ from . import exact
 from .ghz import (GhzDiagonalEnsemble, build_binary_ensemble, build_werner,
                   canonical_label, ensemble_fidelity, ensemble_to_density)
 from .optics import DiscriminationMode
-from .purify import StepKind, apply_step
+from .purify import StepKind, step_map
 
 MAX_ROUNDS = 64
 
@@ -94,12 +94,14 @@ def _run_rows(initial: GhzDiagonalEnsemble, sched: Schedule, engine: str,
 
     Returns, per row, its records (fidelity, keep, cumulative yield, state)
     from round 0 on; the state is the round's ensemble with `record` set on
-    one ensemble, else None.  All rows step together, and each stops on its
-    own: at the threshold, at stop_rounds or at MAX_ROUNDS.  A stopped row
-    leaves the stack.  A row whose state (the ensemble, or rho on the exact
-    engine) at a cycle boundary equals, bit for bit, its state at the
-    previous boundary repeats that cycle for ever: it leaves the stack too,
-    and its remaining rounds are replayed from its own records.
+    one ensemble, else None.  The loop's state is one array on either
+    engine: the weights W, stepped by `purify.step_map`, or rho.  An
+    ensemble is built only for a recorded round.  All rows step together,
+    and each stops on its own: at the threshold, at stop_rounds or at
+    MAX_ROUNDS.  A stopped row leaves the stack.  A row whose state at a
+    cycle boundary equals, bit for bit, its state at the previous boundary
+    repeats that cycle for ever: it leaves the stack too, and its remaining
+    rounds are replayed from its own records.
     """
     if engine not in ("fast", "exact"):
         raise ValueError(f"engine must be 'fast' or 'exact', got {engine!r}")
@@ -117,7 +119,7 @@ def _run_rows(initial: GhzDiagonalEnsemble, sched: Schedule, engine: str,
         hist.append([(f, 1.0, 1.0, initial if record else None)])
         stop.append(f >= thr)
     rows = list(range(len(hist)))   # the rows still in the stack
-    state = initial if fast else ensemble_to_density(initial)
+    state = initial.W if fast else ensemble_to_density(initial)
     cycle_start = None
     k = 0
     while True:
@@ -126,18 +128,17 @@ def _run_rows(initial: GhzDiagonalEnsemble, sched: Schedule, engine: str,
             if not rows:
                 break
             live = [not s for s in stop]
-            state = GhzDiagonalEnsemble(state.n_qubits, state.W[live]) if fast else state[live]
+            state = state[live]
             if cycle_start is not None:
                 cycle_start = cycle_start[live]
         if k == end:
             break
         step = steps[k % period]
         if k % period == 0:
-            cycle_start = state.W if fast else state
+            cycle_start = state
         if fast:
-            report = apply_step(state, step, mode)
-            state, keep = report.output, report.keep_probability
-            fid = ensemble_fidelity(state)
+            state, keep = step_map(state, step, mode)
+            fid = state[..., 0, 0]
         else:
             state, keep = exact.exact_step(state, step, mode)
             fid = exact.fidelity_to_target(state)
@@ -149,7 +150,11 @@ def _run_rows(initial: GhzDiagonalEnsemble, sched: Schedule, engine: str,
                 records.append((f, p, records[-1][2] * (p / 2.0), None))
             stop = [f >= thr for f in fid]
         else:   # one row: the same record, with the round's ensemble if asked
-            snap = (state if fast else exact.ghz_diagonal_extract(state)[0]) if record else None
+            fid = float(fid)
+            snap = None
+            if record:
+                snap = (GhzDiagonalEnsemble(initial.n_qubits, state) if fast
+                        else exact.ghz_diagonal_extract(state)[0])
             records = hist[0]
             records.append((fid, keep, records[-1][2] * (keep / 2.0), snap))
             stop = [fid >= thr]
@@ -159,7 +164,7 @@ def _run_rows(initial: GhzDiagonalEnsemble, sched: Schedule, engine: str,
                 # equal states give equal fidelities, so the states are
                 # compared only then (a repeat missed costs a computed cycle)
                 if records[-1][0] == records[-1 - period][0]:
-                    now = (state.W if fast else state).reshape(len(rows), -1)
+                    now = state.reshape(len(rows), -1)
                     if (now[i] == cycle_start.reshape(len(rows), -1)[i]).all():
                         _replay(records, period, end)
                         stop[i] = True
@@ -176,10 +181,11 @@ def run_schedule(initial: GhzDiagonalEnsemble, sched: Schedule,
 
     With a threshold stop, hitting MAX_ROUNDS first yields converged=False
     rather than an exception.  Once a whole cycle returns the state (the
-    ensemble, or rho on the exact engine) to its bits at the cycle's start,
+    weights W, or rho on the exact engine) to its bits at the cycle's start,
     every later cycle repeats it bit for bit, so its rounds are replayed from
     the records instead of recomputed.  This is the loop that `sweep` runs
-    on a stack, here with one row.
+    on a stack, here with one row; the fast engine steps the bare weights
+    and builds an ensemble only for `record_ensembles`.
     """
     if initial.W.ndim != 2:
         raise ValueError("run_schedule takes one ensemble; sweep runs a stack")

@@ -9,8 +9,9 @@ from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            build_werner, ensemble_fidelity, ensemble_to_density,
                            fwht, random_ghz_diagonal, target_label)
 from ghzpurify.optics import DiscriminationMode, ModeKind
-from ghzpurify.purify import (StepKind, apply_step, correction_for_outcome,
-                              p1_step, p2_step)
+from ghzpurify.purify import (StepKind, _finish, apply_step,
+                              correction_for_outcome, p1_map, p1_step, p2_map,
+                              p2_step, step_map)
 
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()
@@ -318,3 +319,51 @@ class TestStackedSteps:
         with pytest.raises(ValueError, match="underflowed"):
             p1_step(stack, EVEN_ONLY)
         assert p1_step(GhzDiagonalEnsemble(3, stack.W[0]), EVEN_ONLY).keep_probability == 0.5
+
+
+class TestArrayMaps:
+    """The array maps that the schedule loop steps: their output is the
+    weights of the checked ensemble that the step functions return, and
+    they raise where the ensemble's check would."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("mode", [EVEN_ONLY, EVEN_PLUS_ODD])
+    def test_p2_round_off_leaves_positive_zeros(self, n, mode):
+        # The binary input whose P2 transforms leave round-off where exact
+        # arithmetic gives 0, stepped through a few rounds of P2, P1.
+        W = build_binary_ensemble(0.6, GhzLabel("0" + "1" * (n - 1), +1), n).W
+        for _ in range(4):
+            out, keep = p2_map(W, mode)
+            rep = apply_step(GhzDiagonalEnsemble(n, W), StepKind.P2, mode)
+            assert not np.signbit(out).any()
+            assert out.tobytes() == rep.output.W.tobytes()
+            assert keep == rep.keep_probability
+            W, _ = p1_map(out, mode)
+
+    def test_the_round_off_case_has_negative_round_off(self):
+        # so the test above sees the clamp at work
+        n = 6
+        W = build_binary_ensemble(0.6, GhzLabel("0" + "1" * (n - 1), +1), n).W
+        F = fwht(W)
+        assert np.signbit(fwht(F * F)).any()
+
+    def test_finish_clamps_negative_zero_and_round_off(self):
+        raw = np.array([[0.5, -0.0], [-1e-17, 0.5]])
+        total = float(raw.sum())
+        want = GhzDiagonalEnsemble(2, raw / total).W
+        out, keep = _finish(raw, 2.0)
+        assert keep == 2.0 * total
+        assert np.signbit(raw).sum() == 2 and not np.signbit(out).any()
+        assert out.tobytes() == want.tobytes()
+
+    def test_finish_rejects_a_negative_weight(self):
+        with pytest.raises(ValueError, match=">= -1e-10"):
+            _finish(np.array([[0.6, -1e-3], [0.2, 0.2]]), 1.0)
+
+    @pytest.mark.parametrize("step", list(StepKind))
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_row_holding_nan_raises(self, step, stacked):
+        W = build_werner(np.array([0.8, 0.6]), 3).W.copy()
+        W[-1, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="keep probability"):
+            step_map(W if stacked else W[-1], step, EVEN_ONLY)

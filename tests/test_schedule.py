@@ -12,7 +12,7 @@ from ghzpurify.ghz import (GhzLabel, build_binary_ensemble, build_werner,
                            canonical_label, ensemble_fidelity,
                            ensemble_to_density)
 from ghzpurify.optics import DiscriminationMode
-from ghzpurify.purify import StepKind, apply_step
+from ghzpurify.purify import StepKind, apply_step, step_map
 from ghzpurify.schedule import (MAX_ROUNDS, SWEEP_BLOCK, RoundRecord, Schedule,
                                 compare_orderings, run_schedule, sweep)
 
@@ -163,6 +163,27 @@ class TestRunSchedule:
         assert ensemble_fidelity(trace.round_ensembles[-1]) == pytest.approx(
             trace.final_fidelity)
 
+    @pytest.mark.parametrize("initial, steps", [
+        (flip_on_qubit_1(0.6, 6), P2P1),
+        (build_werner(0.8, 3), P1P2P2),
+    ])
+    def test_record_ensembles_are_the_loop_state(self, initial, steps, monkeypatch):
+        states = []
+
+        def keeping(W, step, mode):
+            out = step_map(W, step, mode)
+            states.append(out[0])
+            return out
+
+        monkeypatch.setattr(schedule, "step_map", keeping)
+        sched = Schedule(steps, EVEN_PLUS_ODD, stop_rounds=9)
+        trace = run_schedule(initial, sched, record_ensembles=True)
+        assert trace.round_ensembles[0] is initial
+        # no cycle repeats within 9 rounds, so every round was stepped
+        assert len(states) == trace.n_rounds == 9
+        for ens, W in zip(trace.round_ensembles[1:], states):
+            assert ens.W.tobytes() == W.tobytes()
+
 
 class TestCycleReplay:
     """Rounds after a cycle that returns the state to its own start are
@@ -190,15 +211,15 @@ class TestCycleReplay:
     def test_plateau_calls_fewer_steps_than_rounds(self, monkeypatch):
         calls = []
 
-        def counting(ens, step, mode):
+        def counting(W, step, mode):
             calls.append(step)
-            return apply_step(ens, step, mode)
+            return step_map(W, step, mode)
 
-        monkeypatch.setattr(schedule, "apply_step", counting)
+        monkeypatch.setattr(schedule, "step_map", counting)
         sched = Schedule(P2P1, EVEN_ONLY, stop_threshold=0.99)
         trace = run_schedule(flip_on_qubit_1(0.6, 6), sched)
         assert trace.n_rounds == MAX_ROUNDS and not trace.converged
-        assert len(calls) < MAX_ROUNDS
+        assert 0 < len(calls) < MAX_ROUNDS
 
 
 class TestSweep:
@@ -318,11 +339,11 @@ class TestSweepAgainstStepwise:
         rounds."""
         stepped = []
 
-        def counting(ens, step, mode):
-            stepped.append(len(ens.W) if ens.W.ndim == 3 else 1)
-            return apply_step(ens, step, mode)
+        def counting(W, step, mode):
+            stepped.append(len(W) if W.ndim == 3 else 1)
+            return step_map(W, step, mode)
 
-        monkeypatch.setattr(schedule, "apply_step", counting)
+        monkeypatch.setattr(schedule, "step_map", counting)
         sched = Schedule(P1P2P2, EVEN_ONLY, stop_threshold=0.99)
         values = [0.78, 0.45, 0.8, 0.74, 0.93, 1.0]
         rows = sweep("F", values, 4, sched)
@@ -330,7 +351,7 @@ class TestSweepAgainstStepwise:
         stepped.clear()
         for v in values:
             run_schedule(flip_on_qubit_1(v, 4), sched)
-        assert in_stack == sum(stepped) < sum(r.rounds for r in rows)
+        assert 0 < in_stack == sum(stepped) < sum(r.rounds for r in rows)
 
     def test_a_grid_longer_than_one_block(self):
         values = [0.5 + 0.5 * i / (SWEEP_BLOCK + 10) for i in range(SWEEP_BLOCK + 11)]
