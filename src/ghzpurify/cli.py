@@ -120,6 +120,9 @@ def build_initial(config: dict) -> GhzDiagonalEnsemble:
 
 
 def build_schedule(config: dict) -> Schedule:
+    if not isinstance(config["schedule"], list):
+        raise ConfigError("field 'schedule' must be a list of steps, e.g. "
+                          f"[\"P1\", \"P2\"], got {config['schedule']!r}")
     try:
         steps = tuple(StepKind(s) for s in config["schedule"])
     except (TypeError, ValueError) as err:

@@ -137,10 +137,13 @@ class GhzDiagonalEnsemble:
         return MappingProxyType({label: tuple(ws) for label, ws in zip(labels, columns)
                                  if max(ws) > 0.0})
 
-    def weight(self, label: GhzLabel) -> float:
+    def weight(self, label: GhzLabel):
+        """Weight of label: a float, or an array with one per row of a stack.
+        A label of another n has weight 0."""
         if label.n_qubits != self.n_qubits:
-            return 0.0
-        return float(self.W[(1 - label.sign) // 2, int(label.rep, 2)])
+            return 0.0 if self.W.ndim == 2 else np.zeros(len(self.W))
+        w = self.W[..., (1 - label.sign) // 2, int(label.rep, 2)]
+        return float(w) if self.W.ndim == 2 else w
 
     def __repr__(self):
         if self.W.ndim == 2:

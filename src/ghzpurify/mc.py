@@ -8,7 +8,9 @@ with probability epsilon by homodyne misclassification (not under six-mode
 PBS).  The trial is kept when the pattern reads all even, or all odd under
 even-plus-odd.  The draws are fixed in kind and order (both copies' labels as
 by Generator.choice, then their support strings, then the misread mask), so a
-seed fixes the output.
+seed fixes the output; they are unchanged from the per-trial sampler this one
+replaced.  After the draws, label codes, patterns and outputs are held in the
+narrowest unsigned dtype that holds 2^n (uint8 up to n = 7).
 """
 from __future__ import annotations
 
@@ -23,20 +25,29 @@ from .purify import StepKind, StepReport
 GUIDE_BITS = 12
 
 
+def _code_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every n-qubit label code and
+    2^n, so its maximum is above every code."""
+    return np.min_scalar_type(1 << n)
+
+
 def _draw_labels(support: np.ndarray, probs: np.ndarray, trials: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """Label codes of shape (2, trials), row c draw for draw equal to
-    support[rng.choice(len(probs), trials, p=probs)] for copy c + 1.  A guide
-    table of 2^GUIDE_BITS buckets maps each uniform to its label; only the
-    draws whose bucket holds a CDF point are searched, as choice searches."""
+    """Label codes of shape (2, trials) in support's dtype, row c draw for
+    draw equal to support[rng.choice(len(probs), trials, p=probs)] for copy
+    c + 1.  A guide table of 2^GUIDE_BITS buckets maps each uniform to its
+    label, or to the dtype's maximum where the bucket holds a CDF point; only
+    those draws are searched, as choice searches.  Every code in support must
+    lie below that maximum."""
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     u = rng.random((2, trials))
     edges = np.arange((1 << GUIDE_BITS) + 1) / (1 << GUIDE_BITS)
     lo = cdf.searchsorted(edges[:-1], side="right")
-    table = np.where(lo == cdf.searchsorted(edges[1:], side="left"), support[lo], -1)
+    searched = np.iinfo(support.dtype).max
+    table = np.where(lo == cdf.searchsorted(edges[1:], side="left"), support[lo], searched)
     lab = table[(u * (1 << GUIDE_BITS)).astype(np.intp)]
-    tie = np.flatnonzero(lab < 0)
+    tie = np.flatnonzero(lab == searched)
     lab.flat[tie] = support[cdf.searchsorted(u.flat[tie], side="right")]
     return lab
 
@@ -44,9 +55,17 @@ def _draw_labels(support: np.ndarray, probs: np.ndarray, trials: int,
 @lru_cache(maxsize=None)
 def _even_strings(n: int) -> np.ndarray:
     """The 2^(n-1) even-weight n-bit strings (a's bits, then their parity), read-only."""
-    even = np.array([a << 1 | a.bit_count() & 1 for a in range(1 << (n - 1))], np.int64)
+    even = np.array([a << 1 | a.bit_count() & 1 for a in range(1 << (n - 1))], _code_dtype(n))
     even.flags.writeable = False
     return even
+
+
+@lru_cache(maxsize=None)
+def _party_weights(n: int) -> np.ndarray:
+    """Party k's bit weight 2^(n-1-k) in a pattern, k = 0..n-1, read-only."""
+    w = np.array([1 << (n - 1 - k) for k in range(n)], _code_dtype(n))
+    w.flags.writeable = False
+    return w
 
 
 def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
@@ -72,21 +91,29 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     # Nonzero label codes rep * 2 + (sign == -1), in all_labels order.
     flat = ens.W.T.ravel()
     support = np.flatnonzero(flat)
-    lab1, lab2 = _draw_labels(support, flat[support], trials, rng)
+    lab1, lab2 = _draw_labels(support.astype(_code_dtype(n)), flat[support], trials, rng)
 
     # The correction cancels the sign that copy 2's outcome leaves, so the
     # output label does not depend on that outcome, which is not drawn.
+    z = lab1 ^ lab2
     if step is StepKind.P1:
         # Support of (e, s) is {e, ~e}, each with probability 1/2; output (e1, s1 s2).
         f1, f2 = (rng.integers(0, 2, size=trials, dtype=np.int64) for _ in range(2))
-        z = ((lab1 ^ lab2) >> 1) ^ ((f1 ^ f2) * full)
-        out = lab1 ^ (lab2 & 1)
+        f1 ^= f2
+        flip = f1.astype(z.dtype)
+        flip *= full
+        z >>= 1
+        z ^= flip
+        out = lab2 & 1
     else:
         # Hadamard frame: a uniform string of weight parity s; output (e1 xor e2, s1).
         even = _even_strings(n)
         a1, a2 = (rng.integers(0, 1 << (n - 1), size=trials) for _ in range(2))
-        z = even[a1] ^ even[a2] ^ ((lab1 ^ lab2) & 1)
-        out = lab1 ^ (lab2 & ~1)
+        z &= 1
+        z ^= even[a1]
+        z ^= even[a2]
+        out = lab2 & (full ^ 1)
+    out ^= lab1
 
     read = z
     eps = mode.misclassification_probability
@@ -94,10 +121,8 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
         # Party k (qubit k, the bit of weight 2^(n-1-k)) misreads with
         # probability eps; photon-number post-selection has no such error.
         misread = rng.random((trials, n)) < eps
-        pattern = np.zeros(trials, dtype=np.int64)
-        for column in misread.T:
-            pattern = pattern << 1 | column
-        read = z ^ pattern
+        read = misread.view(np.uint8) @ _party_weights(n)
+        read ^= z
     kept = read == 0
     if mode.kind is ModeKind.EVEN_PLUS_ODD:
         kept |= read == full

@@ -162,6 +162,7 @@ class TestConfigErrors:
         (["run"], {"initial": {"type": "binary", "F": 0.9, "error_sign": "-1"}}),
         (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": "000"}}),
         (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": "111"}}),
+        (["run"], {"schedule": "P1,P2"}),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"
@@ -177,6 +178,14 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("schedule", ["P1,P2", "P1", {"P1": 1}, None])
+    def test_schedule_that_is_not_a_list_names_the_list_form(self, tmp_path, capsys, schedule):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"schedule": schedule}))
+        code = main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert '["P1", "P2"]' in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, blocked", [
         (["run", "--x", "0.8"], "trace.csv"),

@@ -234,6 +234,16 @@ class TestStackedEnsembles:
                                      error: (0.0, pytest.approx(0.2))}
         assert repr(ens) == "GhzDiagonalEnsemble(n_qubits=3, 2 rows, 2 labels)"
 
+    def test_weight_of_a_stack_is_one_per_row(self):
+        ens = build_werner([0.5, 0.7], 3)
+        np.testing.assert_array_equal(ens.weight(target_label(3)), ensemble_fidelity(ens))
+        np.testing.assert_array_equal(ens.weight(GhzLabel("011", -1)), ens.W[:, 1, 3])
+        np.testing.assert_array_equal(ens.weight(target_label(4)), [0.0, 0.0])
+        single = build_werner(0.5, 3)
+        assert type(single.weight(target_label(3))) is float
+        assert single.weight(target_label(3)) == ens.weight(target_label(3))[0]
+        assert single.weight(target_label(4)) == 0.0
+
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_builders_stack_rows_equal_to_single_builds(self, n):
         values = [0.0, 0.3, 0.55, 0.8, 1.0]

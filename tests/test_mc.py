@@ -235,21 +235,34 @@ def grid_inputs(n):
 TRIAL_SEEDS = ((1, 0), (1_001, 1), (4_096, 2), (20_000, 3))
 
 
+def assert_matches_reference(ens, step, mode, trials, seed):
+    want = reference_sample_step(ens, step, mode, trials, seed)
+    got = sampled(ens, step, mode, trials, seed)
+    case = (mode.kind.value, mode.misclassification_probability, trials, seed,
+            ens.W.tolist())
+    if isinstance(want, str):
+        assert got == want, case
+        return
+    assert np.array_equal(got[0], want[0]), case
+    assert got[1:] == want[1:], case
+
+
 class TestBitIdenticalToTheReferenceSampler:
+    # epsilon = 0.49 gives the densest misread masks, nearly half their bits set.
     @pytest.mark.parametrize("step", [StepKind.P1, StepKind.P2])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_same_output_keep_and_stats(self, n, step):
         for ens, kind, eps, (trials, seed) in itertools.product(
-                grid_inputs(n), ModeKind, (0.0, 0.05, 0.2), TRIAL_SEEDS):
-            mode = DiscriminationMode(kind, eps)
-            want = reference_sample_step(ens, step, mode, trials, seed)
-            got = sampled(ens, step, mode, trials, seed)
-            case = (kind.value, eps, trials, seed, ens.W.tolist())
-            if isinstance(want, str):
-                assert got == want, case
-                continue
-            assert np.array_equal(got[0], want[0]), case
-            assert got[1:] == want[1:], case
+                grid_inputs(n), ModeKind, (0.0, 0.05, 0.2, 0.49), TRIAL_SEEDS):
+            assert_matches_reference(ens, step, DiscriminationMode(kind, eps), trials, seed)
+
+    # The benchmark's sampling op: 200,000 trials of a random ensemble.
+    @pytest.mark.parametrize("step", [StepKind.P1, StepKind.P2])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_same_at_200k_trials(self, n, step):
+        for k, (kind, eps) in enumerate(itertools.product(ModeKind, (0.0, 0.05, 0.2))):
+            ens = random_ghz_diagonal(n, np.random.default_rng(100 + k))
+            assert_matches_reference(ens, step, DiscriminationMode(kind, eps), 200_000, k)
 
 
 class TestLabelDraw:
@@ -267,6 +280,20 @@ class TestLabelDraw:
             want = [support[rng.choice(len(probs), trials, p=probs)] for _ in range(2)]
             got = _draw_labels(support, probs, trials, np.random.default_rng(seed))
             assert np.array_equal(got, want)
+
+    def test_full_uint8_support_never_returns_the_searched_marker(self):
+        # Codes 0..63 (n = 6) with most of the mass on the last: the low
+        # buckets all hold CDF points and are searched, marked by 255.
+        probs = np.full(64, 1e-4)
+        probs[-1] = 1.0 - probs[:-1].sum()
+        support = np.arange(64, dtype=np.uint8)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            want = [rng.choice(64, 4_097, p=probs) for _ in range(2)]
+            got = _draw_labels(support, probs, 4_097, np.random.default_rng(seed))
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+            assert not (got == np.iinfo(np.uint8).max).any()
 
 
 class TestEvenStrings:
