@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
+import stat
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -166,13 +168,44 @@ def _outdir(args) -> Path:
     return path
 
 
+_OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _rewrite(path: Path, text: str):
+    """Make `text` the whole content of the file at `path`, written in place.
+
+    An existing file is overwritten from its start and then cut to the new
+    length, so it keeps its inode and permissions: truncating it to zero
+    before the write costs more than the write itself on some file systems.
+    A crash mid-write can leave old and new bytes mixed.  Only a regular
+    file is cut: a device such as /dev/null takes the bytes but rejects
+    the cut.
+    """
+    data = text.encode()
+    fd = os.open(path, _OPEN_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
+def _write_csv(path: Path, columns: tuple, rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    _rewrite(path, buf.getvalue())
+
+
 def write_trace_csv(path: Path, trace: ScheduleTrace):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace.rounds:
-            writer.writerow([rec.round_index, rec.step, _fmt(rec.fidelity),
-                             _fmt(rec.keep_probability), _fmt(rec.cumulative_yield)])
+    _write_csv(path, TRACE_COLUMNS,
+               ([rec.round_index, rec.step, _fmt(rec.fidelity),
+                 _fmt(rec.keep_probability), _fmt(rec.cumulative_yield)]
+                for rec in trace.rounds))
 
 
 def write_summary_json(path: Path, config: dict, trace: ScheduleTrace):
@@ -183,8 +216,7 @@ def write_summary_json(path: Path, config: dict, trace: ScheduleTrace):
         "cumulative_yield": trace.cumulative_yield,
         "converged": trace.converged,
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _rewrite(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _common_flags(parser):
@@ -193,7 +225,10 @@ def _common_flags(parser):
                         "(default: $GHZPURIFY_OUTDIR or cwd)")
     parser.add_argument("--n", type=int, dest="n_qubits")
     parser.add_argument("--schedule", help="comma-separated steps, e.g. P1,P2")
-    parser.add_argument("--mode", choices=[m.value for m in ModeKind])
+    parser.add_argument("--mode", choices=[m.value for m in ModeKind],
+                        help="parity branches kept; at odd N, even-plus-odd's "
+                        "P2 also keeps opposite-sign pairs, so a schedule with "
+                        "P2 can plateau at F = 0.5")
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--engine", choices=["fast", "exact"])
     stop = parser.add_mutually_exclusive_group()
@@ -287,13 +322,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(str(err))
     outdir = _outdir(args)
     try:
-        with open(outdir / "sweep.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(row.value), _fmt(row.initial_fidelity),
-                                 row.rounds, _fmt(row.final_fidelity),
-                                 _fmt(row.cumulative_yield), row.converged])
+        _write_csv(outdir / "sweep.csv", SWEEP_COLUMNS,
+                   ([_fmt(row.value), _fmt(row.initial_fidelity), row.rounds,
+                     _fmt(row.final_fidelity), _fmt(row.cumulative_yield),
+                     row.converged] for row in rows))
     except OSError as err:
         raise ConfigError(f"cannot write output: {err}")
     for row in rows:

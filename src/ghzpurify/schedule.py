@@ -3,6 +3,7 @@ and ordering comparisons."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from . import exact
@@ -30,13 +31,17 @@ class Schedule:
         object.__setattr__(self, "steps", tuple(StepKind(s) for s in self.steps))
         if (self.stop_rounds is None) == (self.stop_threshold is None):
             raise ValueError("specify exactly one of stop_rounds, stop_threshold")
+        # numbers.Integral and numbers.Real take numpy scalars; bool is excluded
         if self.stop_rounds is not None:
-            if not isinstance(self.stop_rounds, int) or isinstance(self.stop_rounds, bool):
+            if (not isinstance(self.stop_rounds, numbers.Integral)
+                    or isinstance(self.stop_rounds, bool)):
                 raise ValueError(f"stop_rounds must be an integer, got {self.stop_rounds!r}")
+            object.__setattr__(self, "stop_rounds", int(self.stop_rounds))
             if not 0 <= self.stop_rounds <= MAX_ROUNDS:
                 raise ValueError(f"stop_rounds must lie in [0, {MAX_ROUNDS}]")
         if self.stop_threshold is not None:
-            if isinstance(self.stop_threshold, bool):
+            if (not isinstance(self.stop_threshold, numbers.Real)
+                    or isinstance(self.stop_threshold, bool)):
                 raise ValueError(f"stop_threshold must be a number, got {self.stop_threshold!r}")
             if not 0.5 < self.stop_threshold <= 1.0:
                 raise ValueError("stop_threshold must lie in (1/2, 1]")

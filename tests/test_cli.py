@@ -1,5 +1,6 @@
 import csv
 import functools
+import inspect
 import json
 import os
 import subprocess
@@ -203,6 +204,71 @@ class TestConfigErrors:
         code = main(["run", "--schedule", "P1,P3", "--x", "0.8",
                      "--threshold", "0.99", "--outdir", str(tmp_path)])
         assert code == EXIT_CONFIG
+
+
+OUTPUTS = {"run": ("trace.csv", "summary.json"), "sweep": ("sweep.csv",)}
+
+
+class TestOutputFiles:
+    """Outputs are rewritten in place; see cli._rewrite."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    @pytest.mark.parametrize("argv, linked", [
+        (["run", "--x", "0.8"], "trace.csv"),
+        (["run", "--x", "0.8"], "summary.json"),
+        (["sweep", "--grid", "0.7"], "sweep.csv"),
+    ])
+    def test_output_linked_to_dev_null(self, tmp_path, capsys, argv, linked):
+        (tmp_path / linked).symlink_to("/dev/null")
+        assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / linked).is_symlink()
+
+    @pytest.mark.parametrize("first, second", [
+        (["run", "--x", "0.8", "--rounds", "8"], ["run", "--x", "0.8", "--rounds", "1"]),
+        (["run", "--config", "bitflip.json"], ["run", "--x", "0.8"]),
+        (["sweep", "--grid", "0.6:0.9:0.01"], ["sweep", "--grid", "0.7"]),
+    ], ids=["rounds-8-then-1", "bitflip-then-werner", "sweep-31-then-1"])
+    def test_rewrite_leaves_no_stale_tail(self, tmp_path, first, second):
+        (tmp_path / "bitflip.json").write_text(json.dumps(
+            {"initial": {"type": "bitflip", "weights": [0.7, 0.1, 0.1, 0.1]}}))
+        reused = tmp_path / "reused"
+
+        def outputs(argv, outdir):
+            code = main([a if a != "bitflip.json" else str(tmp_path / a) for a in argv]
+                        + ["--outdir", str(outdir)])
+            return code, {name: (outdir / name).read_bytes() for name in OUTPUTS[argv[0]]}
+
+        before = outputs(first, reused)
+        assert before == outputs(first, tmp_path / "fresh-first")
+        inodes = {name: (reused / name).stat().st_ino for name in OUTPUTS[second[0]]}
+        after = outputs(second, reused)
+        assert after == outputs(second, tmp_path / "fresh-second")
+        assert inodes == {name: (reused / name).stat().st_ino for name in inodes}
+        # the case is only a test of the tail if some output got shorter
+        assert any(len(after[1][name]) < len(before[1][name]) for name in after[1])
+
+    def test_run_writes_through_the_named_writers(self, tmp_path, monkeypatch):
+        # perfbench/tracing.py rebinds these two names in this module and,
+        # after each call, reads the size of the file at its argument `path`.
+        assert list(inspect.signature(cli.write_trace_csv).parameters) == \
+            ["path", "trace"]
+        assert list(inspect.signature(cli.write_summary_json).parameters) == \
+            ["path", "config", "trace"]
+        calls = []
+        for name in ("write_trace_csv", "write_summary_json"):
+            def wrapper(path, *args, _write=getattr(cli, name), _name=name):
+                _write(path, *args)
+                calls.append((_name, path, os.path.getsize(path)))
+            monkeypatch.setattr(cli, name, wrapper)
+        assert main(["run", "--x", "0.8", "--outdir", str(tmp_path)]) == EXIT_OK
+        assert calls == [
+            ("write_trace_csv", tmp_path / "trace.csv",
+             len((tmp_path / "trace.csv").read_bytes())),
+            ("write_summary_json", tmp_path / "summary.json",
+             len((tmp_path / "summary.json").read_bytes())),
+        ]
+        assert all(size > 0 for _, _, size in calls)
 
 
 class TestSweep:

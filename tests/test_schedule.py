@@ -75,6 +75,23 @@ class TestScheduleType:
         with pytest.raises(ValueError):
             Schedule(P1, EVEN_ONLY, stop_threshold=0.4)
 
+    def test_numpy_scalar_stops_are_accepted(self):
+        sched = Schedule(P1P2, EVEN_ONLY, stop_rounds=np.int64(3))
+        assert type(sched.stop_rounds) is int and sched.stop_rounds == 3
+        assert run_schedule(bit_error(), sched).rounds == run_schedule(
+            bit_error(), Schedule(P1P2, EVEN_ONLY, stop_rounds=3)).rounds
+        sched = Schedule(P1P2, EVEN_ONLY, stop_threshold=np.float64(0.99))
+        assert run_schedule(bit_error(), sched).converged
+
+    @pytest.mark.parametrize("stop", [
+        {"stop_threshold": "0.99"}, {"stop_threshold": True},
+        {"stop_threshold": np.bool_(True)}, {"stop_rounds": "3"},
+        {"stop_rounds": 3.0}, {"stop_rounds": True}, {"stop_rounds": np.bool_(True)},
+    ], ids=repr)
+    def test_stop_of_the_wrong_type_raises_value_error(self, stop):
+        with pytest.raises(ValueError, match="must be an? (integer|number), got"):
+            Schedule(P1, EVEN_ONLY, **stop)
+
     def test_step_names_run_the_named_steps(self):
         sched = Schedule(("P1", "P2"), EVEN_ONLY, stop_rounds=3)
         assert sched.steps == P1P2
