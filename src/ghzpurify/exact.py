@@ -26,6 +26,13 @@ copy-2 measurement channel with a correction for every outcome, and the
 partial trace.  It uses none of the structure above, and takes the
 correction table as an argument, so validation can check the Schur form and
 the table against it.
+
+Readout.  `ghz_diagonal_extract` reads a dense state back as GHZ weights.
+The GHZ basis lives on the diagonal and the anti-diagonal, which in a flat
+C-ordered d x d matrix are the strided views flat[::d+1] and
+flat[d-1:-1:d-1], the lines `ensemble_to_density` writes.  The weights take
+O(2^n) entries from them; the off-diagonal residual is the Frobenius norm of
+a copy of rho with the two lines reduced in place.
 """
 from __future__ import annotations
 
@@ -214,24 +221,36 @@ def ghz_diagonal_extract(rho: np.ndarray) -> tuple[GhzDiagonalEnsemble, float]:
 
     The label (e, s) lives on {|e>, |~e>}, so its weight reads four entries:
     w(e, s) = ½ Re(rho[e, e] + rho[~e, ~e]) + s·½ Re(rho[e, ~e] + rho[~e, e]).
-    The GHZ basis is orthonormal, so the residual is ‖rho − rho_GHZ‖_F, where
-    rho_GHZ is the GHZ-diagonal state with these weights: it sits on the
-    diagonal and the anti-diagonal, so the difference is a copy of rho with
-    those entries reduced, formed entry by entry.  (The shortcut
-    √(‖rho‖² − Σ w²) loses everything below about 1e-8 to cancellation.)
+    As ~x = 2^n - 1 - x, rho[x, x] and rho[x, ~x] are the strided views
+    flat[::d+1] and flat[d-1:-1:d-1] of a flat C-ordered d x d matrix, the
+    lines `ensemble_to_density` writes.  The GHZ basis is orthonormal, so the
+    residual is ‖rho − rho_GHZ‖_F, where rho_GHZ is the GHZ-diagonal state
+    with these weights: it sits on those two lines, so the difference is a
+    copy of rho with them reduced in place, formed entry by entry.  (The
+    shortcut √(‖rho‖² − Σ w²) loses everything below about 1e-8 to
+    cancellation.)  The copy keeps rho's memory order, so the norm sums in
+    that order, and is read through whichever of it and its transpose is
+    C-ordered.  The transpose has the same diagonal and the anti-diagonal
+    reversed, and the mirrored half-sums are palindromes bit for bit, so
+    either view gives the same weights and residual.
     """
     n = num_qubits(rho)
-    x = np.arange(1 << n)
-    diag, anti = rho[x, x], rho[x, x[::-1]]      # x[::-1] is ~x
+    d = 1 << n
+    diff = np.array(rho)
+    flat = (diff if diff.flags.c_contiguous else diff.T).reshape(-1)
+    diag, anti = flat[::d + 1], flat[d - 1:-1:d - 1]
     mean = ((diag + diag[::-1]) / 2.0).real
     cross = ((anti + anti[::-1]) / 2.0).real
-    diff = np.array(rho)
-    diff[x, x] -= mean
-    diff[x, x[::-1]] -= cross
-    residual = float(np.linalg.norm(diff))
-    reps = slice(0, len(x) // 2)                   # canonical reps: first bit 0
-    W = np.clip(np.stack([mean[reps] + cross[reps], mean[reps] - cross[reps]]), 0.0, None)
-    return GhzDiagonalEnsemble(n, W / W.sum()), residual
+    diag -= mean
+    anti -= cross
+    residual = float(np.linalg.norm(flat))
+    m = d // 2                                     # canonical reps: first bit 0
+    W = np.empty((2, m))
+    np.add(mean[:m], cross[:m], out=W[0])
+    np.subtract(mean[:m], cross[:m], out=W[1])
+    np.maximum(W, 0.0, out=W)
+    W /= W.sum()
+    return GhzDiagonalEnsemble(n, W), residual
 
 
 def fidelity_to_target(rho: np.ndarray) -> PerRow:

@@ -15,7 +15,7 @@ from .ghz import (MAX_QUBITS_EXACT, GhzLabel, all_labels, ensemble_to_density,
                   ghz_label_to_state, hadamard_matrix, random_density,
                   random_ghz_diagonal)
 from .optics import DiscriminationMode
-from .purify import StepKind, apply_step, correction_for_outcome
+from .purify import StepKind, correction_for_outcome, step_map
 
 
 @dataclass
@@ -24,6 +24,16 @@ class CheckResult:
     passed: bool
     max_deviation: float
     detail: str = ""
+
+
+def _worst(worst: float, *values: float) -> float:
+    """The largest of the deviations, or NaN once any is NaN.  Built-in max
+    keeps its first argument against a NaN, so a deviation that could not be
+    computed would pass its check."""
+    for v in values:
+        if v > worst or v != v:
+            worst = v
+    return worst
 
 
 def _vec(n: int, terms: dict[str, float]) -> np.ndarray:
@@ -56,7 +66,7 @@ def check_h_grouping(n_max: int = 5) -> CheckResult:
     for n in range(2, n_max + 1):
         for label in all_labels(n):
             got = hadamard_matrix(n) @ ghz_label_to_state(label, n)
-            worst = max(worst, float(np.abs(got - rotated_ghz_expansion(label, n)).max()))
+            worst = _worst(worst, float(np.abs(got - rotated_ghz_expansion(label, n)).max()))
     return CheckResult("h_grouping", worst < 1e-12, worst)
 
 
@@ -80,7 +90,7 @@ def check_state_reproduction() -> CheckResult:
     ]
     for vec, branch, recover, expected, p_want in cases:
         got, p = kept(vec, branch, recover)
-        worst = max(worst, _pure_deviation(got, expected), abs(p - p_want))
+        worst = _worst(worst, _pure_deviation(got, expected), abs(p - p_want))
 
     # Phase-flip step: Hadamard-frame even-parity survivors of the binary
     # phase ensemble's pure branches.
@@ -90,7 +100,7 @@ def check_state_reproduction() -> CheckResult:
     expect_m = _vec(6, {s: 0.5 for s in ("001001", "010010", "100100", "111111")})
     for vec, expected in ((psi_p, expect_p), (psi_m, expect_m)):
         got, p = kept(vec, "even")
-        worst = max(worst, _pure_deviation(got, expected), abs(p - 0.25))
+        worst = _worst(worst, _pure_deviation(got, expected), abs(p - 0.25))
     return CheckResult("state_reproduction", worst < 1e-12, worst)
 
 
@@ -110,7 +120,7 @@ def check_p2_correction_table(n_max: int = 5, seed: int = 7,
         rho = random_density(n, rng)
         out, _ = exact.bruteforce_step(rho, StepKind.P2, mode, correction)
         want, _ = exact.p2_exact(rho, mode)
-        worst = max(worst, float(np.abs(out - want).max()))
+        worst = _worst(worst, float(np.abs(out - want).max()))
     return CheckResult("p2_correction_table", worst < 1e-10, worst)
 
 
@@ -128,13 +138,19 @@ def check_measurement_sign_patterns() -> CheckResult:
             expected = np.array(
                 [(-1) ** bin(x & m).count("1") if bin(x).count("1") % 2 == want_odd
                  else 0.0 for x in range(8)], dtype=complex) / 2.0
-            worst = max(worst, _pure_deviation(blocks[:, m, :], expected))
+            worst = _worst(worst, _pure_deviation(blocks[:, m, :], expected))
     return CheckResult("measurement_sign_patterns", worst < 1e-12, worst)
 
 
 def check_oracle_equivalence(n_max: int = 4, seed: int = 7,
                              cases: int = 50) -> CheckResult:
-    """Fast-engine weights vs the dense engine's output on random ensembles."""
+    """Fast-engine weights vs the dense engine's output on random ensembles.
+
+    The fast side is `purify.step_map`, the map that `run` and `sweep` step;
+    the dense side is `exact.exact_step` on the ensemble's density matrix,
+    read back by `exact.ghz_diagonal_extract`.  Fails on any NaN, including
+    dense weights too broken to form an ensemble.
+    """
     rng = np.random.default_rng(seed)
     worst_diag = worst_keep = worst_res = 0.0
     modes = (DiscriminationMode.even_only(), DiscriminationMode.even_plus_odd())
@@ -144,13 +160,17 @@ def check_oracle_equivalence(n_max: int = 4, seed: int = 7,
             rho = ensemble_to_density(ens)
             mode = modes[c % 2]
             for step in (StepKind.P1, StepKind.P2):
-                fast = apply_step(ens, step, mode)
+                W, fast_keep = step_map(ens.W, step, mode)
                 rho_out, keep = exact.exact_step(rho, step, mode)
-                out_ens, residual = exact.ghz_diagonal_extract(rho_out)
-                diff = float(np.abs(fast.output.W - out_ens.W).max())
-                worst_diag = max(worst_diag, diff)
-                worst_keep = max(worst_keep, abs(fast.keep_probability - keep))
-                worst_res = max(worst_res, residual)
+                try:
+                    out_ens, residual = exact.ghz_diagonal_extract(rho_out)
+                except ValueError:   # NaN weights: no ensemble to compare
+                    diff = residual = np.nan
+                else:
+                    diff = float(np.abs(W - out_ens.W).max())
+                worst_diag = _worst(worst_diag, diff)
+                worst_keep = _worst(worst_keep, abs(fast_keep - keep))
+                worst_res = _worst(worst_res, residual)
     ok = worst_diag < 1e-9 and worst_keep < 1e-12 and worst_res < 1e-10
     detail = (f"diag={worst_diag:.3e} keep={worst_keep:.3e} residual={worst_res:.3e}")
     return CheckResult("oracle_equivalence", ok, worst_diag, detail)
@@ -171,8 +191,8 @@ def check_dense_vs_bruteforce(n_max: int = 5, seed: int = 7,
                 for mode in modes:
                     dense, keep = exact.exact_step(rho, step, mode)
                     brute, brute_keep = exact.bruteforce_step(rho, step, mode)
-                    worst = max(worst, float(np.abs(dense - brute).max()),
-                                abs(keep - brute_keep))
+                    worst = _worst(worst, float(np.abs(dense - brute).max()),
+                                   abs(keep - brute_keep))
     return CheckResult("dense_vs_bruteforce", worst < 1e-12, worst)
 
 
@@ -188,7 +208,7 @@ def check_probability_bookkeeping(seed: int = 11, cases: int = 20) -> CheckResul
             for parties in range(1 << n):
                 mask = exact.parity_mask(n, parties)
                 total += float((pair.diagonal().real * mask).sum())
-            worst = max(worst, abs(total - 1.0))
+            worst = _worst(worst, abs(total - 1.0))
     return CheckResult("probability_bookkeeping", worst < 1e-12, worst)
 
 

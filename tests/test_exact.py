@@ -13,7 +13,7 @@ from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            random_ghz_diagonal, target_label)
 from ghzpurify.optics import DiscriminationMode
 from ghzpurify.purify import StepKind, correction_for_outcome
-from ghz_helpers import ghz_basis_matrix, is_valid_density
+from ghz_helpers import ghz_basis_matrix, is_valid_density, reference_extract
 
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()
@@ -322,6 +322,24 @@ class TestDiagonalExtract:
                 _, residual = ghz_diagonal_extract(r)
                 assert residual == dense_residual(r)
                 assert np.array_equal(r, before)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_the_reference_extract_bit_for_bit(self, n):
+        # GHZ-diagonal, 1e-11-perturbed and random inputs, read in C order,
+        # in F order and through negative strides.
+        rng = np.random.default_rng(100 + n)
+        for case in range(30):
+            diagonal = ensemble_to_density(random_ghz_diagonal(n, rng))
+            rho = (random_density(n, rng) if case % 3 == 0 else
+                   diagonal + 1e-11 * random_density(n, rng) if case % 3 == 1
+                   else diagonal)
+            for r in (rho, rho.T, rho[::-1, ::-1]):
+                before = r.copy()
+                got, residual = ghz_diagonal_extract(r)
+                want, want_residual = reference_extract(r)
+                assert np.array_equal(r, before)
+                assert got.W.tobytes() == want.W.tobytes()
+                assert np.float64(residual).tobytes() == np.float64(want_residual).tobytes()
 
     def test_nondiagonal_has_residual(self):
         plus = vec(2, {"00": 1.0})
