@@ -11,12 +11,11 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from .ghz import (MAX_QUBITS_EXACT, MAX_QUBITS_FAST, GhzDiagonalEnsemble,
-                  build_binary_ensemble, build_bitflip_ensemble, build_werner,
-                  canonical_label)
+from .ghz import (MAX_QUBITS_EXACT, GhzDiagonalEnsemble, build_binary_ensemble,
+                  build_bitflip_ensemble, build_werner, canonical_label)
 from .optics import DiscriminationMode, ModeKind
 from .purify import StepKind
-from .schedule import Schedule, ScheduleTrace, run_schedule, sweep
+from .schedule import ENGINES, Schedule, ScheduleTrace, run_schedule, sweep
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -43,6 +42,7 @@ _INITIAL_KEYS = {"werner": {"x"}, "binary": {"F", "error_rep", "error_sign"},
                  "bitflip": {"weights"}}
 
 MAX_GRID_POINTS = 10_000
+MAX_CONFIG_BYTES = 1 << 20   # a MAX_GRID_POINTS grid takes under 250 kB
 MAX_VALIDATE_CASES = 10_000
 
 
@@ -79,12 +79,18 @@ def load_config(path: str | None, overrides: dict) -> dict:
     config = dict(_DEFAULT_CONFIG)
     if path is not None:
         try:
-            with open(path) as fh:
-                loaded = json.load(fh)
+            with open(path, "rb") as fh:
+                # reading the cap at once would map and unmap a buffer per call
+                data = fh.read(1 << 16)
+                if len(data) == 1 << 16:
+                    data += fh.read(MAX_CONFIG_BYTES + 1 - len(data))
+            if len(data) > MAX_CONFIG_BYTES:
+                raise ConfigError(f"config file exceeds {MAX_CONFIG_BYTES} bytes")
+            loaded = json.loads(data.decode("utf-8"))
         except OSError as err:
             raise ConfigError(f"cannot read config file: {err}")
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config is not valid JSON (line {err.lineno}): {err.msg}")
+        except (ValueError, RecursionError) as err:   # not UTF-8, not JSON, too deep
+            raise ConfigError(f"config is not valid JSON text: {err}")
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a JSON object")
         unknown = set(loaded) - _KNOWN_KEYS
@@ -151,12 +157,12 @@ def _check_bounds(config: dict):
     n = config["n_qubits"]
     if not isinstance(n, int) or n < 2:
         raise ConfigError("n_qubits must be an integer >= 2")
-    if config["engine"] not in ("fast", "exact"):
-        raise ConfigError("engine must be 'fast' or 'exact'")
-    limit = MAX_QUBITS_EXACT if config["engine"] == "exact" else MAX_QUBITS_FAST
-    if n > limit:
-        raise ConfigError(f"n_qubits={n} exceeds the {config['engine']}-engine "
-                          f"bound of {limit}")
+    name = config["engine"]
+    if not isinstance(name, str) or name not in ENGINES:
+        raise ConfigError(f"engine must be one of {sorted(ENGINES)}, got {name!r}")
+    if n > ENGINES[name].max_qubits:
+        raise ConfigError(f"n_qubits={n} exceeds the {name}-engine "
+                          f"bound of {ENGINES[name].max_qubits}")
 
 
 def _outdir(args) -> Path:
@@ -230,7 +236,7 @@ def _common_flags(parser):
                         "P2 also keeps opposite-sign pairs, so a schedule with "
                         "P2 can plateau at F = 0.5")
     parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--engine", choices=["fast", "exact"])
+    parser.add_argument("--engine", choices=list(ENGINES))
     stop = parser.add_mutually_exclusive_group()
     stop.add_argument("--threshold", type=float)
     stop.add_argument("--rounds", type=int)
@@ -343,13 +349,11 @@ def cmd_validate(args) -> int:
     if args.seed < 0:
         raise ConfigError("--seed must be nonnegative")
     results = run_validation(args.n_max, args.seed, args.cases)
-    failed = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         extra = f" ({res.detail})" if res.detail else ""
         print(f"{status} {res.name} max_deviation={res.max_deviation:.3e}{extra}")
-        failed |= not res.passed
-    return EXIT_VALIDATION if failed else EXIT_OK
+    return EXIT_OK if all(res.passed for res in results) else EXIT_VALIDATION
 
 
 @lru_cache(maxsize=None)

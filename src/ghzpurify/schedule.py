@@ -4,15 +4,36 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
-from . import exact
+from . import exact, ghz
 from .ghz import (GhzDiagonalEnsemble, build_binary_ensemble, build_werner,
                   canonical_label, ensemble_fidelity, ensemble_to_density)
 from .optics import DiscriminationMode
 from .purify import StepKind, step_map
 
 MAX_ROUNDS = 64
+
+
+# An engine as the schedule loop calls it: encode(ensemble) -> state,
+# step(state, step, mode) -> (state, keep), fidelity(state) and
+# readout(n, state) -> ensemble of one row.  Its state is one bare array, a
+# row or a stack, so rows leave it by state[mask] and cycles compare its bits.
+Engine = namedtuple("Engine", "max_qubits encode step fidelity readout")
+
+# The engines by their CLI names.  Each lambda looks its function up when
+# called, so a patched or traced `step_map`, `ensemble_to_density`, ... runs.
+ENGINES = {
+    "fast": Engine(ghz.MAX_QUBITS_FAST, lambda ens: ens.W,
+                   lambda W, step, mode: step_map(W, step, mode),
+                   lambda W: W[..., 0, 0],
+                   lambda n, W: GhzDiagonalEnsemble(n, W)),
+    "exact": Engine(ghz.MAX_QUBITS_EXACT, lambda ens: ensemble_to_density(ens),
+                    lambda rho, step, mode: exact.exact_step(rho, step, mode),
+                    lambda rho: exact.fidelity_to_target(rho),
+                    lambda n, rho: exact.ghz_diagonal_extract(rho)[0]),
+}
 
 
 @dataclass(frozen=True)
@@ -99,78 +120,58 @@ def _run_rows(initial: GhzDiagonalEnsemble, sched: Schedule, engine: str,
 
     Returns, per row, its records (fidelity, keep, cumulative yield, state)
     from round 0 on; the state is the round's ensemble with `record` set on
-    one ensemble, else None.  The loop's state is one array on either
-    engine: the weights W, stepped by `purify.step_map`, or rho.  An
-    ensemble is built only for a recorded round.  All rows step together,
-    and each stops on its own: at the threshold, at stop_rounds or at
-    MAX_ROUNDS.  A stopped row leaves the stack.  A row whose state at a
+    one ensemble, else None.  The loop's state is the array that the
+    `ENGINES` entry named `engine` encodes and steps (the weights W, or
+    rho), read back as an ensemble only for a recorded round.  All rows step
+    together, and each stops on its own: at the threshold, at stop_rounds or
+    at MAX_ROUNDS.  A stopped row leaves the stack.  A row whose state at a
     cycle boundary equals, bit for bit, its state at the previous boundary
     repeats that cycle for ever: it leaves the stack too, and its remaining
     rounds are replayed from its own records.
     """
-    if engine not in ("fast", "exact"):
-        raise ValueError(f"engine must be 'fast' or 'exact', got {engine!r}")
-    if engine == "exact" and initial.n_qubits > exact.MAX_QUBITS_EXACT:
-        raise ValueError(f"exact engine is bounded at {exact.MAX_QUBITS_EXACT} qubits")
-    fast = engine == "fast"
+    if not isinstance(engine, str) or engine not in ENGINES:
+        raise ValueError(f"engine must be one of {sorted(ENGINES)}, got {engine!r}")
+    eng = ENGINES[engine]
+    if initial.n_qubits > eng.max_qubits:
+        raise ValueError(f"{engine} engine is bounded at {eng.max_qubits} qubits")
     stacked = initial.W.ndim == 3
     # a round stop never stops a row at a fidelity
     thr = math.inf if sched.stop_threshold is None else sched.stop_threshold
     end = MAX_ROUNDS if sched.stop_rounds is None else sched.stop_rounds
     steps, mode, period = sched.steps, sched.mode, len(sched.steps)
     fid = ensemble_fidelity(initial)
-    hist, stop = [], []
-    for f in (fid.tolist() if stacked else [fid]):
-        hist.append([(f, 1.0, 1.0, initial if record else None)])
-        stop.append(f >= thr)
-    rows = list(range(len(hist)))   # the rows still in the stack
-    state = initial.W if fast else ensemble_to_density(initial)
-    cycle_start = None
+    fid = fid.tolist() if stacked else [fid]
+    hist = [[(f, 1.0, 1.0, initial if record else None)] for f in fid]
+    stop = [f >= thr for f in fid]
+    live = hist   # the records of the rows still in the stack
+    state = cycle_start = eng.encode(initial)
     k = 0
     while True:
         if True in stop:
-            rows = [g for g, s in zip(rows, stop) if not s]
-            if not rows:
+            mask = [not s for s in stop]
+            live = [records for records, m in zip(live, mask) if m]
+            if not live:
                 break
-            live = [not s for s in stop]
-            state = state[live]
-            if cycle_start is not None:
-                cycle_start = cycle_start[live]
+            state, cycle_start = state[mask], cycle_start[mask]
         if k == end:
             break
-        step = steps[k % period]
         if k % period == 0:
             cycle_start = state
-        if fast:
-            state, keep = step_map(state, step, mode)
-            fid = state[..., 0, 0]
-        else:
-            state, keep = exact.exact_step(state, step, mode)
-            fid = exact.fidelity_to_target(state)
+        state, keep = eng.step(state, steps[k % period], mode)
+        fid = eng.fidelity(state)
         k += 1
-        if stacked:
-            fid, keep = fid.tolist(), keep.tolist()
-            for g, f, p in zip(rows, fid, keep):
-                records = hist[g]
-                records.append((f, p, records[-1][2] * (p / 2.0), None))
-            stop = [f >= thr for f in fid]
-        else:   # one row: the same record, with the round's ensemble if asked
-            fid = float(fid)
-            snap = None
-            if record:
-                snap = (GhzDiagonalEnsemble(initial.n_qubits, state) if fast
-                        else exact.ghz_diagonal_extract(state)[0])
-            records = hist[0]
-            records.append((fid, keep, records[-1][2] * (keep / 2.0), snap))
-            stop = [fid >= thr]
+        fid, keep = (fid.tolist(), keep.tolist()) if stacked else ([float(fid)], [keep])
+        snap = eng.readout(initial.n_qubits, state) if record else None
+        for records, f, p in zip(live, fid, keep):
+            records.append((f, p, records[-1][2] * (p / 2.0), snap))
+        stop = [f >= thr for f in fid]
         if k % period == 0 and k < end:
-            for i, g in enumerate(rows):
-                records = hist[g]
+            for i, records in enumerate(live):
                 # equal states give equal fidelities, so the states are
                 # compared only then (a repeat missed costs a computed cycle)
                 if records[-1][0] == records[-1 - period][0]:
-                    now = state.reshape(len(rows), -1)
-                    if (now[i] == cycle_start.reshape(len(rows), -1)[i]).all():
+                    now = state.reshape(len(live), -1)
+                    if (now[i] == cycle_start.reshape(len(live), -1)[i]).all():
                         _replay(records, period, end)
                         stop[i] = True
     return hist
@@ -184,22 +185,19 @@ def run_schedule(initial: GhzDiagonalEnsemble, sched: Schedule,
                  engine: str = "fast", record_ensembles: bool = False) -> ScheduleTrace:
     """Apply the schedule's steps cyclically until its stop condition.
 
-    With a threshold stop, hitting MAX_ROUNDS first yields converged=False
-    rather than an exception.  Once a whole cycle returns the state (the
-    weights W, or rho on the exact engine) to its bits at the cycle's start,
-    every later cycle repeats it bit for bit, so its rounds are replayed from
-    the records instead of recomputed.  This is the loop that `sweep` runs
-    on a stack, here with one row; the fast engine steps the bare weights
-    and builds an ensemble only for `record_ensembles`.
+    `engine` is a key of `ENGINES`; any other value raises ValueError.  With
+    a threshold stop, hitting MAX_ROUNDS first yields converged=False rather
+    than an exception.  Once a whole cycle returns the engine's state to its
+    bits at the cycle's start, every later cycle repeats it bit for bit, so
+    its rounds are replayed from the records.  This is the loop that `sweep`
+    runs on a stack, here with one row; the state is read back as an
+    ensemble only for `record_ensembles`.
     """
     if initial.W.ndim != 2:
         raise ValueError("run_schedule takes one ensemble; sweep runs a stack")
     records = _run_rows(initial, sched, engine, record_ensembles)[0]
-    rounds = [RoundRecord(0, "-", *records[0][:3])]
-    for k in range(1, len(records)):
-        fid, keep, cum, _ = records[k]
-        rounds.append(RoundRecord(k, sched.steps[(k - 1) % len(sched.steps)].value,
-                                  fid, keep, cum))
+    rounds = [RoundRecord(k, sched.steps[(k - 1) % len(sched.steps)].value if k else "-",
+                          *r[:3]) for k, r in enumerate(records)]
     ensembles = [r[3] for r in records] if record_ensembles else []
     return ScheduleTrace(rounds, _converged(sched, records[-1][0]), ensembles)
 
@@ -233,10 +231,8 @@ def sweep(param: str, values, n_qubits: int, template: Schedule,
     param 'F' binary bit-flip inputs (error on qubit 1).
 
     The grid runs in blocks of SWEEP_BLOCK points, each block as one stack
-    through the loop of `run_schedule`: every point stops, and replays its
-    repeating cycle, on its own, so a row is the point's own run.  At odd n
-    under even-plus-odd its last digits may differ, since BLAS rounds P2's
-    opposite-sign product of one row and of many rows differently.
+    through the loop of `run_schedule` on `ENGINES[engine]`: every point
+    stops, and replays its cycle, on its own, so a row is its point's run.
     """
     values = list(values)
     if not values:

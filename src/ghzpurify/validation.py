@@ -148,8 +148,8 @@ def check_oracle_equivalence(n_max: int = 4, seed: int = 7,
 
     The fast side is `purify.step_map`, the map that `run` and `sweep` step;
     the dense side is `exact.exact_step` on the ensemble's density matrix,
-    read back by `exact.ghz_diagonal_extract`.  Fails on any NaN, including
-    dense weights too broken to form an ensemble.
+    read back by `exact.ghz_diagonal_extract`.  Reports the worst deviation
+    of weight, keep or residual; any NaN, even in unreadable weights, fails.
     """
     rng = np.random.default_rng(seed)
     worst_diag = worst_keep = worst_res = 0.0
@@ -172,8 +172,8 @@ def check_oracle_equivalence(n_max: int = 4, seed: int = 7,
                 worst_keep = _worst(worst_keep, abs(fast_keep - keep))
                 worst_res = _worst(worst_res, residual)
     ok = worst_diag < 1e-9 and worst_keep < 1e-12 and worst_res < 1e-10
-    detail = (f"diag={worst_diag:.3e} keep={worst_keep:.3e} residual={worst_res:.3e}")
-    return CheckResult("oracle_equivalence", ok, worst_diag, detail)
+    return CheckResult("oracle_equivalence", ok, _worst(worst_diag, worst_keep, worst_res),
+                       f"diag={worst_diag:.3e} keep={worst_keep:.3e} residual={worst_res:.3e}")
 
 
 def check_dense_vs_bruteforce(n_max: int = 5, seed: int = 7,

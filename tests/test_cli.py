@@ -12,12 +12,12 @@ import pytest
 import ghzpurify
 from ghzpurify import cli
 from ghzpurify.cli import (EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
-                           EXIT_VALIDATION, MAX_GRID_POINTS, MAX_VALIDATE_CASES,
-                           main)
+                           EXIT_VALIDATION, MAX_CONFIG_BYTES, MAX_GRID_POINTS,
+                           MAX_VALIDATE_CASES, main)
 from ghzpurify.ghz import build_binary_ensemble, canonical_label
 from ghzpurify.optics import DiscriminationMode
 from ghzpurify.purify import StepKind, correction_for_outcome
-from ghzpurify.schedule import Schedule, run_schedule
+from ghzpurify.schedule import ENGINES, Schedule, run_schedule
 from ghzpurify.validation import run_validation
 
 
@@ -164,6 +164,9 @@ class TestConfigErrors:
         (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": "000"}}),
         (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": "111"}}),
         (["run"], {"schedule": "P1,P2"}),
+        (["run"], {"engine": "dense"}),
+        (["run"], {"engine": ["fast"]}),
+        (["run"], {"engine": {}}),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"
@@ -179,6 +182,25 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe\x00bad",                # not UTF-8
+        b"[" * 100_000,                    # nested past the recursion limit
+        b"1" * 5000,                       # an integer past int's digit limit
+        b"{}" + b" " * MAX_CONFIG_BYTES,   # valid JSON, but past the size cap
+    ], ids=["not-utf8", "deep", "long-int", "over-cap"])
+    def test_config_file_that_is_not_json_text_exits_2_with_one_line(
+            self, tmp_path, capsys, content):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert main(["run", "--config", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_config_file_at_the_size_cap_is_read(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b"{}" + b" " * (MAX_CONFIG_BYTES - 2))
+        assert main(["run", "--config", str(path), "--outdir", str(tmp_path)]) == EXIT_OK
 
     @pytest.mark.parametrize("schedule", ["P1,P2", "P1", {"P1": 1}, None])
     def test_schedule_that_is_not_a_list_names_the_list_form(self, tmp_path, capsys, schedule):
@@ -417,6 +439,12 @@ class TestValidate:
 class TestParser:
     def test_built_once_per_process(self):
         assert cli.make_parser() is cli.make_parser()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_engine_choices_are_the_engine_table(self, command):
+        sub = next(a for a in cli.make_parser()._actions if a.dest == "command")
+        engine = next(a for a in sub.choices[command]._actions if a.dest == "engine")
+        assert list(engine.choices) == list(ENGINES)
 
     @staticmethod
     def _call(argv, outdir, capsys):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ghzpurify import schedule
 from ghzpurify.exact import (exact_step, fidelity_to_target,
                              ghz_diagonal_extract)
-from ghzpurify.ghz import (GhzLabel, build_binary_ensemble, build_werner,
+from ghzpurify.ghz import (MAX_QUBITS_EXACT, MAX_QUBITS_FAST, GhzLabel,
+                           build_binary_ensemble, build_werner,
                            canonical_label, ensemble_fidelity,
                            ensemble_to_density)
 from ghzpurify.optics import DiscriminationMode
@@ -165,6 +166,21 @@ class TestRunSchedule:
         with pytest.raises(ValueError):
             run_schedule(bit_error(n=6), sched, engine="exact")
 
+    @pytest.mark.parametrize("engine", ["dense", "FAST", "", None, ["fast"]])
+    def test_unknown_engine_names_the_engines(self, engine):
+        sched = Schedule(P1, EVEN_ONLY, stop_rounds=1)
+        for run in (lambda: run_schedule(bit_error(), sched, engine),
+                    lambda: sweep("x", [0.8], 3, sched, engine)):
+            with pytest.raises(ValueError, match="engine must be one of") as err:
+                run()
+            assert all(repr(name) in str(err.value) for name in schedule.ENGINES)
+
+    def test_engine_table(self):
+        """The table maps the CLI's names to their bounds."""
+        assert set(schedule.ENGINES) == {"fast", "exact"}
+        assert schedule.ENGINES["fast"].max_qubits == MAX_QUBITS_FAST
+        assert schedule.ENGINES["exact"].max_qubits == MAX_QUBITS_EXACT
+
     def test_even_plus_odd_yield_power_of_two(self):
         k = 3
         eo = run_schedule(bit_error(), Schedule(P1, EVEN_ONLY, stop_rounds=k))
@@ -200,6 +216,26 @@ class TestRunSchedule:
         assert len(states) == trace.n_rounds == 9
         for ens, W in zip(trace.round_ensembles[1:], states):
             assert ens.W.tobytes() == W.tobytes()
+
+    def test_record_ensembles_are_the_loop_state_on_the_exact_engine(self, monkeypatch):
+        """The exact engine's step is looked up when the loop runs, so a
+        patched `exact.exact_step` is the one stepped, and each snapshot is
+        the extract of the state it returned."""
+        states = []
+
+        def keeping(rho, step, mode):
+            out = exact_step(rho, step, mode)
+            states.append(out[0])
+            return out
+
+        monkeypatch.setattr(schedule.exact, "exact_step", keeping)
+        initial = flip_on_qubit_1(0.6, 4)
+        sched = Schedule(P2P1, EVEN_PLUS_ODD, stop_rounds=9)
+        trace = run_schedule(initial, sched, "exact", record_ensembles=True)
+        assert trace.round_ensembles[0] is initial
+        assert len(states) == trace.n_rounds == 9
+        for ens, rho in zip(trace.round_ensembles[1:], states):
+            assert ens.W.tobytes() == ghz_diagonal_extract(rho)[0].W.tobytes()
 
 
 class TestCycleReplay:

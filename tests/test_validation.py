@@ -1,6 +1,7 @@
 """The self-validation checks: each fails when one engine is broken, a NaN
 fails it rather than passing, and the oracle check reports the numbers of a
-reference loop over the ensemble API and the fancy-index extract."""
+reference loop over the ensemble API and the fancy-index extract, its
+max_deviation the worst of the weight, keep and residual deviations."""
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ EXACT_STEP = exact.exact_step
 
 def reference_oracle_equivalence(n_max, seed, cases):
     """The oracle check with the fast side read from apply_step's checked
-    ensemble and the dense side from reference_extract, folded by max."""
+    ensemble and the dense side from reference_extract, folded by max; the
+    reported deviation is the largest of the three."""
     rng = np.random.default_rng(seed)
     worst_diag = worst_keep = worst_res = 0.0
     modes = (DiscriminationMode.even_only(), DiscriminationMode.even_plus_odd())
@@ -36,7 +38,7 @@ def reference_oracle_equivalence(n_max, seed, cases):
                 worst_res = max(worst_res, residual)
     ok = worst_diag < 1e-9 and worst_keep < 1e-12 and worst_res < 1e-10
     detail = f"diag={worst_diag:.3e} keep={worst_keep:.3e} residual={worst_res:.3e}"
-    return ok, worst_diag, detail
+    return ok, max(worst_diag, worst_keep, worst_res), detail
 
 
 @pytest.mark.parametrize("cases", [1, 2, 5])
@@ -100,6 +102,7 @@ class TestOracleEquivalenceFails:
         assert not res.passed
         reported = dict(part.split("=") for part in res.detail.split())
         assert float(reported[field]) > 1e-8
+        assert res.max_deviation > 1e-8   # the failing part shows, whichever it is
 
     @pytest.mark.parametrize("fault", NAN_FAULTS.values(), ids=NAN_FAULTS.keys())
     def test_nan_in_the_dense_step(self, monkeypatch, fault):
@@ -107,6 +110,7 @@ class TestOracleEquivalenceFails:
         res = validation.check_oracle_equivalence(3, cases=2)
         assert not res.passed
         assert "nan" in res.detail
+        assert math.isnan(res.max_deviation)
 
 
 @pytest.mark.parametrize("fault", NAN_FAULTS.values(), ids=NAN_FAULTS.keys())
@@ -127,6 +131,7 @@ def test_a_nan_after_a_larger_deviation_still_wins():
 def test_validate_exits_4_on_a_nan(monkeypatch, capsys, fault):
     monkeypatch.setattr(exact, "exact_step", fault)
     assert main(["validate", "--n-max", "3", "--cases", "2"]) == EXIT_VALIDATION
-    failed = [ln.split()[1] for ln in capsys.readouterr().out.splitlines()
+    failed = [ln.split()[:3] for ln in capsys.readouterr().out.splitlines()
               if ln.startswith("FAIL")]
-    assert failed == ["oracle_equivalence", "dense_vs_bruteforce"]
+    assert [name for _, name, _ in failed] == ["oracle_equivalence", "dense_vs_bruteforce"]
+    assert failed[0][2] == "max_deviation=nan"
