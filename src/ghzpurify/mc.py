@@ -9,8 +9,13 @@ PBS).  The trial is kept when the pattern reads all even, or all odd under
 even-plus-odd.  The draws are fixed in kind and order (both copies' labels as
 by Generator.choice, then their support strings, then the misread mask), so a
 seed fixes the output; they are unchanged from the per-trial sampler this one
-replaced.  After the draws, label codes, patterns and outputs are held in the
-narrowest unsigned dtype that holds 2^n (uint8 up to n = 7).
+replaced.  The labels and support strings are read straight from the raw
+64-bit words of the generator's stream (PCG64), which Generator.random and
+Generator.integers would turn into the same values: a double is a word's top
+53 bits over 2^53, and integers(0, 2^k) is the top k bits of one 32-bit half,
+low half first (Lemire's method never rejects a power-of-two range).  After
+the draws, label codes, patterns and outputs are held in the narrowest
+unsigned dtype that holds 2^n (uint8 up to n = 7).
 """
 from __future__ import annotations
 
@@ -35,20 +40,26 @@ def _draw_labels(support: np.ndarray, probs: np.ndarray, trials: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Label codes of shape (2, trials) in support's dtype, row c draw for
     draw equal to support[rng.choice(len(probs), trials, p=probs)] for copy
-    c + 1.  A guide table of 2^GUIDE_BITS buckets maps each uniform to its
-    label, or to the dtype's maximum where the bucket holds a CDF point; only
-    those draws are searched, as choice searches.  Every code in support must
-    lie below that maximum."""
+    c + 1.  The 2 * trials draws are the next 2 * trials words of the stream,
+    which choice turns into the uniforms u = (word >> 11) * 2^-53.  A guide
+    table of 2^GUIDE_BITS buckets maps each word's top GUIDE_BITS bits, which
+    are floor(u * 2^GUIDE_BITS), to its label, or to the dtype's maximum where
+    the bucket holds a CDF point; only those draws rebuild u and are
+    searched, as choice searches.  Every code in support must lie below that
+    maximum."""
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    u = rng.random((2, trials))
+    words = rng.bit_generator.random_raw((2, trials))
     edges = np.arange((1 << GUIDE_BITS) + 1) / (1 << GUIDE_BITS)
     lo = cdf.searchsorted(edges[:-1], side="right")
     searched = np.iinfo(support.dtype).max
     table = np.where(lo == cdf.searchsorted(edges[1:], side="left"), support[lo], searched)
-    lab = table[(u * (1 << GUIDE_BITS)).astype(np.intp)]
+    # floor(u * 2^GUIDE_BITS) is the word's top GUIDE_BITS bits; below 2^63,
+    # so its int64 view is an index that needs no cast.
+    lab = table[(words >> (64 - GUIDE_BITS)).view(np.int64)]
     tie = np.flatnonzero(lab == searched)
-    lab.flat[tie] = support[cdf.searchsorted(u.flat[tie], side="right")]
+    u = (words.flat[tie] >> 11) * 2.0 ** -53
+    lab.flat[tie] = support[cdf.searchsorted(u, side="right")]
     return lab
 
 
@@ -68,6 +79,11 @@ def _party_weights(n: int) -> np.ndarray:
     return w
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
                    mode: DiscriminationMode, trials: int, seed: int) -> StepReport:
     """Empirical StepReport from `trials` sampled copy pairs.
@@ -77,10 +93,13 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     genuine keep (P1: (e1, s1 s2), P2: (e1 xor e2, s1)).  The share of such
     trials is reported under the branch_stats key ("spurious", "*").
     """
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
+    if not _is_integer(trials):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # None would seed from OS entropy, and a bool would run as seed 0 or 1.
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if ens.W.ndim != 2:
         raise ValueError("mc_sample_step takes one ensemble, not a stack")
     step = StepKind(step)
@@ -96,22 +115,27 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     # The correction cancels the sign that copy 2's outcome leaves, so the
     # output label does not depend on that outcome, which is not drawn.
     z = lab1 ^ lab2
+    # Each copy's support draw is one 32-bit half of the next `trials` words,
+    # low half first (little-endian on every host): copy 1 takes halves
+    # [:trials], copy 2 the rest.  A power-of-two integers(0, 2^k) draw is
+    # the half's top k bits, and only the two copies' XOR enters z.
+    halves = rng.bit_generator.random_raw(trials).astype("<u8", copy=False).view("<u4")
+    both = halves[:trials] ^ halves[trials:]
     if step is StepKind.P1:
         # Support of (e, s) is {e, ~e}, each with probability 1/2; output (e1, s1 s2).
-        f1, f2 = (rng.integers(0, 2, size=trials, dtype=np.int64) for _ in range(2))
-        f1 ^= f2
-        flip = f1.astype(z.dtype)
+        both >>= 31
+        flip = both.astype(z.dtype)
         flip *= full
         z >>= 1
         z ^= flip
         out = lab2 & 1
     else:
         # Hadamard frame: a uniform string of weight parity s; output (e1 xor e2, s1).
-        even = _even_strings(n)
-        a1, a2 = (rng.integers(0, 1 << (n - 1), size=trials) for _ in range(2))
+        # a has n - 1 <= 32 bits for any ensemble that fits in memory, and
+        # even[a] is linear in a, so even[a1] ^ even[a2] == even[a1 ^ a2].
+        both >>= 33 - n
         z &= 1
-        z ^= even[a1]
-        z ^= even[a2]
+        z ^= _even_strings(n)[both]
         out = lab2 & (full ^ 1)
     out ^= lab1
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel,
                            build_binary_ensemble, build_werner,
@@ -161,6 +163,22 @@ class TestValidation:
         assert a.keep_probability == b.keep_probability
         assert np.array_equal(a.output.W, b.output.W)
 
+    @pytest.mark.parametrize("seed", [None, True, False, -1, 1.5, "3", np.float64(3.0),
+                                      np.int64(-2), [3], np.random.default_rng(3)])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # None would seed from OS entropy, and True would run as seed 1.
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            mc_sample_step(bit_error(), StepKind.P1, EVEN_ONLY, 1_000, seed=seed)
+
+    @pytest.mark.parametrize("step", [StepKind.P1, StepKind.P2])
+    def test_numpy_integer_seed_runs_as_int(self, step):
+        mode = DiscriminationMode.even_plus_odd(epsilon=0.05)
+        a = mc_sample_step(bit_error(), step, mode, 1_001, seed=np.int64(3))
+        b = mc_sample_step(bit_error(), step, mode, 1_001, seed=3)
+        assert a.keep_probability == b.keep_probability
+        assert np.array_equal(a.output.W, b.output.W)
+        assert a.branch_stats == b.branch_stats
+
     def test_pure_target_p1(self):
         ens = GhzDiagonalEnsemble(3, {target_label(3): 1.0})
         rep = mc_sample_step(ens, StepKind.P1, EVEN_PLUS_ODD, 10_000, seed=2)
@@ -263,6 +281,57 @@ class TestBitIdenticalToTheReferenceSampler:
         for k, (kind, eps) in enumerate(itertools.product(ModeKind, (0.0, 0.05, 0.2))):
             ens = random_ghz_diagonal(n, np.random.default_rng(100 + k))
             assert_matches_reference(ens, step, DiscriminationMode(kind, eps), 200_000, k)
+
+
+@st.composite
+def random_or_sparse_ensembles(draw):
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        return random_ghz_diagonal(n, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    # One to four labels, in all_labels order, with weights far apart or alike.
+    codes = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4, unique=True))
+    flat = np.zeros(1 << n)
+    flat[codes] = draw(st.lists(st.floats(1e-9, 1.0), min_size=len(codes), max_size=len(codes)))
+    return GhzDiagonalEnsemble(n, (flat / flat.sum()).reshape(-1, 2).T)
+
+
+class TestBitIdenticalProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(ens=random_or_sparse_ensembles(), step=st.sampled_from(StepKind),
+           kind=st.sampled_from(ModeKind), eps=st.sampled_from((0.0, 0.05, 0.2, 0.49)),
+           trials=st.integers(1, 3_000), seed=st.integers(0, 2 ** 63 - 1))
+    def test_matches_the_reference_sampler(self, ens, step, kind, eps, trials, seed):
+        assert_matches_reference(ens, step, DiscriminationMode(kind, eps), trials, seed)
+
+
+class TestGeneratorWordStream:
+    """The numpy identities by which mc rebuilds its draws from the raw
+    64-bit words of the default generator (PCG64): a double is the word's top
+    53 bits over 2^53, and a power-of-two integers draw is the top bits of one
+    32-bit half, low half first, by Lemire's method with no rejection."""
+    CASES = list(itertools.product(range(4), (1, 2, 1_001, 4_096)))
+
+    @staticmethod
+    def streams(seed):
+        return np.random.default_rng(seed), np.random.default_rng(seed).bit_generator
+
+    @pytest.mark.parametrize("seed, m", CASES)
+    def test_a_double_is_the_top_53_bits(self, seed, m):
+        rng, bits = self.streams(seed)
+        assert np.array_equal(rng.random(m), (bits.random_raw(m) >> 11) * 2.0 ** -53)
+
+    @pytest.mark.parametrize("seed, m", CASES)
+    def test_the_guide_bucket_is_the_top_12_bits(self, seed, m):
+        rng, bits = self.streams(seed)
+        assert np.array_equal(np.floor(rng.random(m) * 4096), bits.random_raw(m) >> 52)
+
+    @pytest.mark.parametrize("seed, m", CASES)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_two_power_of_two_draws_are_the_top_bits_of_the_halves(self, seed, m, k):
+        rng, bits = self.streams(seed)
+        want = np.concatenate([rng.integers(0, 2 ** k, size=m) for _ in range(2)])
+        halves = bits.random_raw(m).astype("<u8").view("<u4")
+        assert np.array_equal(want, halves >> (32 - k))
 
 
 class TestLabelDraw:
