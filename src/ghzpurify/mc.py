@@ -8,18 +8,16 @@ with probability epsilon by homodyne misclassification (not under six-mode
 PBS).  The trial is kept when the pattern reads all even, or all odd under
 even-plus-odd.  The draws are fixed in kind and order (both copies' labels as
 by Generator.choice, then their support strings, then the misread mask), so a
-seed fixes the output; they are unchanged from the per-trial sampler this one
-replaced.  The labels and support strings are read straight from the raw
-64-bit words of the generator's stream (PCG64), which Generator.random and
-Generator.integers would turn into the same values: a double is a word's top
-53 bits over 2^53, and integers(0, 2^k) is the top k bits of one 32-bit half,
-low half first (Lemire's method never rejects a power-of-two range).  After
-the draws, label codes, patterns and outputs are held in the narrowest
-unsigned dtype that holds 2^n (uint8 up to n = 7).
+seed fixes the output.  The labels and support strings are read straight from
+the raw 64-bit words of the generator's stream (PCG64), which Generator.random
+and Generator.integers would turn into the same values: a double is a word's
+top 53 bits over 2^53, and integers(0, 2^k) is the top k bits of one 32-bit
+half, low half first (Lemire's method never rejects a power-of-two range).  A
+P2 support string is computed from its draw a, an (n-1)-bit integer, as
+a << 1 | parity(a).  After the draws, label codes, patterns and outputs are
+held in the narrowest unsigned dtype that holds 2^n (uint8 up to n = 7).
 """
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,12 +26,6 @@ from .optics import DiscriminationMode, ModeKind
 from .purify import StepKind, StepReport
 
 GUIDE_BITS = 12
-
-
-def _code_dtype(n: int) -> np.dtype:
-    """The narrowest unsigned dtype that holds every n-qubit label code and
-    2^n, so its maximum is above every code."""
-    return np.min_scalar_type(1 << n)
 
 
 def _draw_labels(support: np.ndarray, probs: np.ndarray, trials: int,
@@ -61,22 +53,6 @@ def _draw_labels(support: np.ndarray, probs: np.ndarray, trials: int,
     u = (words.flat[tie] >> 11) * 2.0 ** -53
     lab.flat[tie] = support[cdf.searchsorted(u, side="right")]
     return lab
-
-
-@lru_cache(maxsize=None)
-def _even_strings(n: int) -> np.ndarray:
-    """The 2^(n-1) even-weight n-bit strings (a's bits, then their parity), read-only."""
-    even = np.array([a << 1 | a.bit_count() & 1 for a in range(1 << (n - 1))], _code_dtype(n))
-    even.flags.writeable = False
-    return even
-
-
-@lru_cache(maxsize=None)
-def _party_weights(n: int) -> np.ndarray:
-    """Party k's bit weight 2^(n-1-k) in a pattern, k = 0..n-1, read-only."""
-    w = np.array([1 << (n - 1 - k) for k in range(n)], _code_dtype(n))
-    w.flags.writeable = False
-    return w
 
 
 def _is_integer(x) -> bool:
@@ -110,7 +86,9 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     # Nonzero label codes rep * 2 + (sign == -1), in all_labels order.
     flat = ens.W.T.ravel()
     support = np.flatnonzero(flat)
-    lab1, lab2 = _draw_labels(support.astype(_code_dtype(n)), flat[support], trials, rng)
+    # The narrowest unsigned dtype that holds 2^n: its maximum is above every code.
+    codes = support.astype(np.min_scalar_type(1 << n))
+    lab1, lab2 = _draw_labels(codes, flat[support], trials, rng)
 
     # The correction cancels the sign that copy 2's outcome leaves, so the
     # output label does not depend on that outcome, which is not drawn.
@@ -131,11 +109,14 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
         out = lab2 & 1
     else:
         # Hadamard frame: a uniform string of weight parity s; output (e1 xor e2, s1).
-        # a has n - 1 <= 32 bits for any ensemble that fits in memory, and
-        # even[a] is linear in a, so even[a1] ^ even[a2] == even[a1 ^ a2].
+        # The even string a << 1 | parity(a) is linear in a, so the two
+        # copies' strings XOR to that of a1 ^ a2, whose n <= 6 bits fit the half.
         both >>= 33 - n
+        parity = np.bitwise_count(both) & 1
+        both <<= 1
+        both |= parity
         z &= 1
-        z ^= _even_strings(n)[both]
+        z ^= both
         out = lab2 & (full ^ 1)
     out ^= lab1
 
@@ -145,7 +126,7 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
         # Party k (qubit k, the bit of weight 2^(n-1-k)) misreads with
         # probability eps; photon-number post-selection has no such error.
         misread = rng.random((trials, n)) < eps
-        read = misread.view(np.uint8) @ _party_weights(n)
+        read = misread.view(np.uint8) @ np.array([1 << (n - 1 - k) for k in range(n)], z.dtype)
         read ^= z
     kept = read == 0
     if mode.kind is ModeKind.EVEN_PLUS_ODD:

@@ -146,22 +146,17 @@ def step_map(W: np.ndarray, step: StepKind | str, mode: DiscriminationMode):
     return (p1_map if step is StepKind.P1 else p2_map)(W, mode)
 
 
-def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
-    """`p1_map` on the ensemble's weights, its output wrapped in a checked
+def apply_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
+               mode: DiscriminationMode) -> StepReport:
+    """`step_map` on the ensemble's weights, its output wrapped in a checked
     ensemble."""
-    W, keep = p1_map(ens.W, mode)
+    W, keep = step_map(ens.W, step, mode)
     return StepReport(GhzDiagonalEnsemble(ens.n_qubits, W), keep)
+
+
+def p1_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
+    return apply_step(ens, StepKind.P1, mode)
 
 
 def p2_step(ens: GhzDiagonalEnsemble, mode: DiscriminationMode) -> StepReport:
-    """`p2_map` on the ensemble's weights, its output wrapped in a checked
-    ensemble."""
-    W, keep = p2_map(ens.W, mode)
-    return StepReport(GhzDiagonalEnsemble(ens.n_qubits, W), keep)
-
-
-def apply_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
-               mode: DiscriminationMode) -> StepReport:
-    if not isinstance(step, StepKind):
-        step = StepKind(step)
-    return p1_step(ens, mode) if step is StepKind.P1 else p2_step(ens, mode)
+    return apply_step(ens, StepKind.P2, mode)

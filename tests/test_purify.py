@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +15,15 @@ from ghzpurify.optics import DiscriminationMode, ModeKind
 from ghzpurify.purify import (StepKind, _finish, apply_step,
                               correction_for_outcome, p1_map, p1_step, p2_map,
                               p2_step, step_map)
+from ghz_helpers import rational_step, rational_weights
 
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()
 SIX_MODE = DiscriminationMode.six_mode_pbs()
 
 
-def bit_error(n):
-    return build_binary_ensemble(0.8, GhzLabel("0" + "1" * (n - 1), +1), n)
+def bit_error(n, F=0.8):
+    return build_binary_ensemble(F, GhzLabel("0" + "1" * (n - 1), +1), n)
 
 
 def phase_error(F, n):
@@ -224,6 +228,36 @@ class TestModeByName:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
             DiscriminationMode("even-and-odd")
+
+
+class TestAgainstRationalArithmetic:
+    """step_map against the label-pair rules in exact arithmetic, both run
+    from the exact value of the same float input: after k rounds every
+    weight and the keep lie within C k 2^-52 of the exact value (the largest
+    seen is 3.5 k 2^-52, the keep at round 3 of Werner N = 5 even-plus-odd),
+    and every label whose exact weight exceeds 1e-14 is carried."""
+    C = 8
+
+    @pytest.mark.parametrize("schedule", [(StepKind.P1, StepKind.P2),
+                                          (StepKind.P2, StepKind.P1)], ids=["P1P2", "P2P1"])
+    @pytest.mark.parametrize("mode", [EVEN_ONLY, EVEN_PLUS_ODD], ids=["even", "both"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("build", [lambda n: build_werner(0.5, n),
+                                       lambda n: bit_error(n, 0.6)], ids=["werner", "binary"])
+    def test_six_rounds_within_c_k_ulps(self, build, n, mode, schedule):
+        ens = build(n)
+        W, exact = ens.W, rational_weights(ens)
+        for k, step in enumerate(itertools.islice(itertools.cycle(schedule), 6), 1):
+            W, keep = step_map(W, step, mode)
+            exact, exact_keep = rational_step(exact, n, step, mode)
+            bound = Fraction(self.C * k * 2.0 ** -52)
+            assert abs(Fraction(keep) - exact_keep) <= bound, (k, "keep")
+            for (s, e), w in np.ndenumerate(W):
+                label = (e, 1 - 2 * s)
+                want = exact.get(label, 0)
+                assert abs(Fraction(w) - want) <= bound, (k, label)
+                # A label above the round-off is carried.
+                assert w > 0.0 or want <= 1e-14, (k, label)
 
 
 def reference_step(ens, step, mode):
