@@ -11,7 +11,7 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from .ghz import (MAX_QUBITS_EXACT, GhzDiagonalEnsemble, build_binary_ensemble,
+from .ghz import (MAX_QUBITS_EXACT, GhzDiagonalEnsemble, GhzLabel, build_binary_ensemble,
                   build_bitflip_ensemble, build_werner, canonical_label)
 from .optics import DiscriminationMode, ModeKind
 from .purify import StepKind
@@ -116,15 +116,19 @@ def build_initial(config: dict) -> GhzDiagonalEnsemble:
         if kind == "werner":
             return build_werner(_number(init["x"]), n)
         if kind == "binary":
-            rep = init.get("error_rep", "1" + "0" * (n - 1))
-            sign = _number(init.get("error_sign", 1))
-            if sign not in (1.0, -1.0):
-                raise ValueError(f"error_sign must be +1 or -1, got {sign!r}")
-            return build_binary_ensemble(_number(init["F"]),
-                                         canonical_label(rep, int(sign)), n)
+            return build_binary_ensemble(_number(init["F"]), _error_label(init, n), n)
         return build_bitflip_ensemble([_number(w) for w in init["weights"]], n)
     except (LookupError, TypeError, ValueError) as err:
         raise ConfigError(f"field 'initial': {err}")
+
+
+def _error_label(init: dict, n: int) -> GhzLabel:
+    """A binary `initial`'s error label: by default a flip of qubit 1, sign +1."""
+    rep = init.get("error_rep", "1" + "0" * (n - 1))
+    sign = _number(init.get("error_sign", 1))
+    if sign not in (1.0, -1.0):
+        raise ValueError(f"error_sign must be +1 or -1, got {sign!r}")
+    return canonical_label(rep, int(sign))
 
 
 def build_schedule(config: dict) -> Schedule:
@@ -321,9 +325,19 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config, _overrides_from(args))
     _check_bounds(config)
     param, values = _sweep_grid(args, config)
+    init, n = config["initial"], config["n_qubits"]
+    if init is not _DEFAULT_CONFIG["initial"]:   # given by the config file
+        # it must pass run's checks and be the input the sweep builds from the grid
+        build_initial(config)
+        swept = {"werner": "x", "binary": "F"}.get(init["type"])
+        if swept == "F" and _error_label(init, n) != _error_label({}, n):
+            swept = None
+        if param in ("x", "F") and swept != param:
+            raise ConfigError("field 'initial' must be werner to sweep x, or binary "
+                              "with the flip on qubit 1 and error_sign +1 to sweep F")
     sched = build_schedule(config)
     try:
-        rows = sweep(param, values, config["n_qubits"], sched, config["engine"])
+        rows = sweep(param, values, n, sched, config["engine"])
     except ValueError as err:
         raise ConfigError(str(err))
     outdir = _outdir(args)

@@ -83,17 +83,12 @@ class GhzDiagonalEnsemble:
     """Probability weights over the 2^n GHZ basis states, held in one array W
     of shape (2, 2^(n-1)): label (rep, sign) sits at W[(1 - sign) // 2,
     int(rep, 2)].  Takes W or a dict keyed by GhzLabel; never renormalizes.
-
-    W may also be a stack of G ensembles, shape (G, 2, 2^(n-1)), one per row;
-    the steps then act on every row at once.  Each row is checked as a single
-    ensemble is, and one bad row rejects the whole stack.
+    Any n >= 2 is built: each engine bounds the n it runs.
     """
 
     def __init__(self, n_qubits: int, weights):
         if n_qubits < 2:
             raise ValueError("need at least 2 qubits")
-        if n_qubits > MAX_QUBITS_FAST:
-            raise ValueError(f"fast engine is bounded at {MAX_QUBITS_FAST} qubits")
         shape = (2, 1 << (n_qubits - 1))
         if isinstance(weights, dict):
             W = np.zeros(shape)
@@ -103,20 +98,15 @@ class GhzDiagonalEnsemble:
                 W[(1 - label.sign) // 2, int(label.rep, 2)] = w
         else:
             W = np.asarray(weights, dtype=float)
-            if W.shape != shape and (W.ndim != 3 or W.shape[1:] != shape or not len(W)):
-                raise ValueError(f"weight array has shape {W.shape}, expected "
-                                 f"{shape} or (G, {shape[0]}, {shape[1]})")
+            if W.shape != shape:
+                raise ValueError(f"weight array has shape {W.shape}, expected {shape}")
         lo = W.min()   # NaN if any weight is NaN, and NaN fails the check
         if not lo >= -1e-10:
             raise ValueError(f"weights must be >= -1e-10 and not NaN, got {lo}")
         # A fresh array in the input's memory order either way, so a caller's
         # array is never frozen or aliased; -0.0 and small negatives become +0.0.
         W = np.where(W > 0.0, W, 0.0) if lo <= 0.0 else W.copy(order="K")
-        if W.ndim == 2:
-            total = W.sum()
-        else:   # the row whose sum lies furthest from 1
-            totals = W.sum(axis=(1, 2))
-            total = totals[np.argmax(np.abs(totals - 1.0))]
+        total = W.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total}, expected 1")
         W.flags.writeable = False
@@ -125,38 +115,25 @@ class GhzDiagonalEnsemble:
 
     @property
     def weights(self) -> MappingProxyType:
-        """Read-only mapping of the nonzero weights keyed by GhzLabel.  For a
-        stack it holds the labels that carry weight in any row, each with
-        the tuple of its weights in the rows."""
-        labels = _label_tuple(self.n_qubits)   # all_labels order
-        if self.W.ndim == 2:
-            flat = self.W.T.ravel().tolist()
-            return MappingProxyType({label: w for label, w in zip(labels, flat)
-                                     if w > 0.0})
-        columns = self.W.transpose(2, 1, 0).reshape(len(labels), -1).tolist()
-        return MappingProxyType({label: tuple(ws) for label, ws in zip(labels, columns)
-                                 if max(ws) > 0.0})
+        """Read-only mapping of the nonzero weights keyed by GhzLabel."""
+        flat = self.W.T.ravel().tolist()   # all_labels order
+        return MappingProxyType({label: w for label, w in
+                                 zip(_label_tuple(self.n_qubits), flat) if w > 0.0})
 
-    def weight(self, label: GhzLabel):
-        """Weight of label: a float, or an array with one per row of a stack.
-        A label of another n has weight 0."""
+    def weight(self, label: GhzLabel) -> float:
+        """Weight of label; a label of another n has weight 0."""
         if label.n_qubits != self.n_qubits:
-            return 0.0 if self.W.ndim == 2 else np.zeros(len(self.W))
-        w = self.W[..., (1 - label.sign) // 2, int(label.rep, 2)]
-        return float(w) if self.W.ndim == 2 else w
+            return 0.0
+        return float(self.W[(1 - label.sign) // 2, int(label.rep, 2)])
 
     def __repr__(self):
-        if self.W.ndim == 2:
-            return (f"GhzDiagonalEnsemble(n_qubits={self.n_qubits}, "
-                    f"{np.count_nonzero(self.W)} labels)")
-        return (f"GhzDiagonalEnsemble(n_qubits={self.n_qubits}, {len(self.W)} rows, "
-                f"{np.count_nonzero((self.W > 0).any(axis=0))} labels)")
+        return (f"GhzDiagonalEnsemble(n_qubits={self.n_qubits}, "
+                f"{np.count_nonzero(self.W)} labels)")
 
 
-def ensemble_fidelity(ens: GhzDiagonalEnsemble):
-    """Weight of the target state (all-zero rep, sign +1): a float, or an
-    array with one per row of a stack."""
-    return float(ens.W[0, 0]) if ens.W.ndim == 2 else ens.W[:, 0, 0]
+def ensemble_fidelity(ens: GhzDiagonalEnsemble) -> float:
+    """Weight of the target state (all-zero rep, sign +1)."""
+    return float(ens.W[0, 0])
 
 
 def _fractions(name: str, value) -> np.ndarray:
@@ -170,9 +147,9 @@ def _fractions(name: str, value) -> np.ndarray:
     return value
 
 
-def build_binary_ensemble(F, error_label: GhzLabel, n: int) -> GhzDiagonalEnsemble:
-    """Two-component mixture: F on the target, 1-F on error_label.  An array
-    of F gives a stack, one row per value."""
+def binary_weights(F, error_label: GhzLabel, n: int) -> np.ndarray:
+    """Weights of the mixture of F on the target and 1-F on error_label.  An
+    array of F gives one row per value, shape (len(F), 2, 2^(n-1))."""
     F = _fractions("F", F)
     if error_label == target_label(n):
         raise ValueError(f"error label {error_label.rep} (or its complement) with "
@@ -182,7 +159,12 @@ def build_binary_ensemble(F, error_label: GhzLabel, n: int) -> GhzDiagonalEnsemb
     W = np.zeros(F.shape + (2, 1 << (n - 1)))
     W[..., (1 - error_label.sign) // 2, int(error_label.rep, 2)] = 1.0 - F
     W[..., 0, 0] = F
-    return GhzDiagonalEnsemble(n, W)
+    return W
+
+
+def build_binary_ensemble(F: float, error_label: GhzLabel, n: int) -> GhzDiagonalEnsemble:
+    """Two-component mixture: F on the target, 1-F on error_label."""
+    return GhzDiagonalEnsemble(n, binary_weights(F, error_label, n))
 
 
 def build_bitflip_ensemble(weights, n: int) -> GhzDiagonalEnsemble:
@@ -204,28 +186,34 @@ def build_bitflip_ensemble(weights, n: int) -> GhzDiagonalEnsemble:
     return GhzDiagonalEnsemble(n, W)
 
 
-def build_werner(x, n: int) -> GhzDiagonalEnsemble:
-    """x |phi+><phi+| + (1-x) I/2^n, expressed in the (complete) GHZ basis.
-    An array of x gives a stack, one row per value."""
+def werner_weights(x, n: int) -> np.ndarray:
+    """Weights of x |phi+><phi+| + (1-x) I/2^n in the (complete) GHZ basis.
+    An array of x gives one row per value, shape (len(x), 2, 2^(n-1))."""
     x = _fractions("x", x)
     W = np.empty(x.shape + (2, 1 << (n - 1)))
     W.T[...] = (1.0 - x) / (1 << n)   # W.T puts the row axis last
     W[..., 0, 0] += x
-    return GhzDiagonalEnsemble(n, W)
+    return W
 
 
-def ensemble_to_density(ens: GhzDiagonalEnsemble) -> np.ndarray:
-    """Sum of w |label><label| as a dense 2^n x 2^n matrix (one per row of a
-    stack): the label (e, s) puts w/2 at (e, e) and (~e, ~e) and s*w/2 at
-    (e, ~e) and (~e, e).  As ~x = 2^n - 1 - x, the second half of the
-    diagonal and of the anti-diagonal mirrors the first half."""
-    dim = 1 << ens.n_qubits
-    plus, minus = ens.W[..., 0, :], ens.W[..., 1, :]
-    rho = np.zeros(ens.W.shape[:-2] + (dim * dim,), dtype=complex)
+def build_werner(x: float, n: int) -> GhzDiagonalEnsemble:
+    """x |phi+><phi+| + (1-x) I/2^n, expressed in the (complete) GHZ basis."""
+    return GhzDiagonalEnsemble(n, werner_weights(x, n))
+
+
+def ensemble_to_density(ens) -> np.ndarray:
+    """Sum of w |label><label| as a dense 2^n x 2^n matrix, of an ensemble or of
+    its weights W (one matrix per row of a stack): the label (e, s) puts w/2 at
+    (e, e) and (~e, ~e) and s*w/2 at (e, ~e) and (~e, e).  As ~x = 2^n - 1 - x,
+    the second half of the diagonal and of the anti-diagonal mirrors the first."""
+    W = getattr(ens, "W", ens)
+    dim = 2 * W.shape[-1]
+    plus, minus = W[..., 0, :], W[..., 1, :]
+    rho = np.zeros(W.shape[:-2] + (dim * dim,), dtype=complex)
     for line, half in ((slice(None, None, dim + 1), (plus + minus) / 2.0),
                        (slice(dim - 1, -1, dim - 1), (plus - minus) / 2.0)):
         rho[..., line] = np.concatenate((half, half[..., ::-1]), axis=-1)
-    return rho.reshape(ens.W.shape[:-2] + (dim, dim))
+    return rho.reshape(W.shape[:-2] + (dim, dim))
 
 
 FWHT_RADIX = 32

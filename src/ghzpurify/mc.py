@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ghz import GhzDiagonalEnsemble
+from .ghz import MAX_QUBITS_FAST, GhzDiagonalEnsemble
 from .optics import DiscriminationMode, ModeKind
 from .purify import StepKind, StepReport
 
@@ -76,10 +76,11 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     # None would seed from OS entropy, and a bool would run as seed 0 or 1.
     if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    if ens.W.ndim != 2:
-        raise ValueError("mc_sample_step takes one ensemble, not a stack")
-    step = StepKind(step)
     n = ens.n_qubits
+    # the draws are checked against the reference sampler up to this bound
+    if n > MAX_QUBITS_FAST:
+        raise ValueError(f"Monte Carlo is bounded at {MAX_QUBITS_FAST} qubits")
+    step = StepKind(step)
     full = (1 << n) - 1
     rng = np.random.default_rng(seed)
 

@@ -39,15 +39,14 @@ class StepKind(str, Enum):
 
 @dataclass
 class StepReport:
-    """Output ensemble and keep probability of one purification step; for a
-    stacked ensemble, keep_probability is an array with one per row.
+    """Output ensemble and keep probability of one purification step.
 
     branch_stats is filled by the Monte Carlo only: ("spurious", "*") holds
     the share of trials kept on a misread verdict, when it is nonzero.
     """
 
     output: GhzDiagonalEnsemble
-    keep_probability: float | np.ndarray
+    keep_probability: float
     branch_stats: dict[tuple[str, str], float] = field(default_factory=dict)
 
 

@@ -8,15 +8,15 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import exact, ghz
-from .ghz import (GhzDiagonalEnsemble, build_binary_ensemble, build_werner,
-                  canonical_label, ensemble_fidelity, ensemble_to_density)
+from .ghz import (GhzDiagonalEnsemble, binary_weights, canonical_label,
+                  ensemble_to_density, werner_weights)
 from .optics import DiscriminationMode
 from .purify import StepKind, step_map
 
 MAX_ROUNDS = 64
 
 
-# An engine as the schedule loop calls it: encode(ensemble) -> state,
+# An engine as the schedule loop calls it: encode(W) -> state,
 # step(state, step, mode) -> (state, keep), fidelity(state) and
 # readout(n, state) -> ensemble of one row.  Its state is one bare array, a
 # row or a stack, so rows leave it by state[mask] and cycles compare its bits.
@@ -25,11 +25,11 @@ Engine = namedtuple("Engine", "max_qubits encode step fidelity readout")
 # The engines by their CLI names.  Each lambda looks its function up when
 # called, so a patched or traced `step_map`, `ensemble_to_density`, ... runs.
 ENGINES = {
-    "fast": Engine(ghz.MAX_QUBITS_FAST, lambda ens: ens.W,
+    "fast": Engine(ghz.MAX_QUBITS_FAST, lambda W: W,
                    lambda W, step, mode: step_map(W, step, mode),
                    lambda W: W[..., 0, 0],
                    lambda n, W: GhzDiagonalEnsemble(n, W)),
-    "exact": Engine(ghz.MAX_QUBITS_EXACT, lambda ens: ensemble_to_density(ens),
+    "exact": Engine(ghz.MAX_QUBITS_EXACT, lambda W: ensemble_to_density(W),
                     lambda rho, step, mode: exact.exact_step(rho, step, mode),
                     lambda rho: exact.fidelity_to_target(rho),
                     lambda n, rho: exact.ghz_diagonal_extract(rho)[0]),
@@ -114,14 +114,14 @@ def _replay(records: list, period: int, end: int):
         records.append((fid, keep, records[-1][2] * (keep / 2.0), state))
 
 
-def _run_rows(initial: GhzDiagonalEnsemble, sched: Schedule, engine: str,
+def _run_rows(n: int, W, sched: Schedule, engine: str,
               record: bool = False) -> list[list[tuple]]:
-    """Run the schedule on one ensemble, or on every row of a stack at once.
+    """Run the schedule on one n-qubit ensemble's weights W, or on a stack.
 
     Returns, per row, its records (fidelity, keep, cumulative yield, state)
-    from round 0 on; the state is the round's ensemble with `record` set on
-    one ensemble, else None.  The loop's state is the array that the
-    `ENGINES` entry named `engine` encodes and steps (the weights W, or
+    from round 0 on; the state is the round's ensemble from round 1 on with
+    `record` set on one ensemble, else None.  The loop's state is the array
+    that the `ENGINES` entry named `engine` encodes from W and steps (W, or
     rho), read back as an ensemble only for a recorded round.  All rows step
     together, and each stops on its own: at the threshold, at stop_rounds or
     at MAX_ROUNDS.  A stopped row leaves the stack.  A row whose state at a
@@ -132,19 +132,18 @@ def _run_rows(initial: GhzDiagonalEnsemble, sched: Schedule, engine: str,
     if not isinstance(engine, str) or engine not in ENGINES:
         raise ValueError(f"engine must be one of {sorted(ENGINES)}, got {engine!r}")
     eng = ENGINES[engine]
-    if initial.n_qubits > eng.max_qubits:
+    if n > eng.max_qubits:
         raise ValueError(f"{engine} engine is bounded at {eng.max_qubits} qubits")
-    stacked = initial.W.ndim == 3
+    stacked = W.ndim == 3
     # a round stop never stops a row at a fidelity
     thr = math.inf if sched.stop_threshold is None else sched.stop_threshold
     end = MAX_ROUNDS if sched.stop_rounds is None else sched.stop_rounds
     steps, mode, period = sched.steps, sched.mode, len(sched.steps)
-    fid = ensemble_fidelity(initial)
-    fid = fid.tolist() if stacked else [fid]
-    hist = [[(f, 1.0, 1.0, initial if record else None)] for f in fid]
+    fid = W[..., 0, 0].reshape(-1).tolist()
+    hist = [[(f, 1.0, 1.0, None)] for f in fid]
     stop = [f >= thr for f in fid]
     live = hist   # the records of the rows still in the stack
-    state = cycle_start = eng.encode(initial)
+    state = cycle_start = eng.encode(W)
     k = 0
     while True:
         if True in stop:
@@ -161,7 +160,7 @@ def _run_rows(initial: GhzDiagonalEnsemble, sched: Schedule, engine: str,
         fid = eng.fidelity(state)
         k += 1
         fid, keep = (fid.tolist(), keep.tolist()) if stacked else ([float(fid)], [keep])
-        snap = eng.readout(initial.n_qubits, state) if record else None
+        snap = eng.readout(n, state) if record else None
         for records, f, p in zip(live, fid, keep):
             records.append((f, p, records[-1][2] * (p / 2.0), snap))
         stop = [f >= thr for f in fid]
@@ -190,15 +189,13 @@ def run_schedule(initial: GhzDiagonalEnsemble, sched: Schedule,
     than an exception.  Once a whole cycle returns the engine's state to its
     bits at the cycle's start, every later cycle repeats it bit for bit, so
     its rounds are replayed from the records.  This is the loop that `sweep`
-    runs on a stack, here with one row; the state is read back as an
-    ensemble only for `record_ensembles`.
+    runs on a stack, here on `initial.W`; the state is read back as an
+    ensemble only for `record_ensembles`, whose round 0 is `initial`.
     """
-    if initial.W.ndim != 2:
-        raise ValueError("run_schedule takes one ensemble; sweep runs a stack")
-    records = _run_rows(initial, sched, engine, record_ensembles)[0]
+    records = _run_rows(initial.n_qubits, initial.W, sched, engine, record_ensembles)[0]
     rounds = [RoundRecord(k, sched.steps[(k - 1) % len(sched.steps)].value if k else "-",
                           *r[:3]) for k, r in enumerate(records)]
-    ensembles = [r[3] for r in records] if record_ensembles else []
+    ensembles = [initial] + [r[3] for r in records[1:]] if record_ensembles else []
     return ScheduleTrace(rounds, _converged(sched, records[-1][0]), ensembles)
 
 
@@ -217,11 +214,11 @@ class SweepRow:
 SWEEP_BLOCK = 256
 
 
-def _initial_for(param: str, values: list, n: int) -> GhzDiagonalEnsemble:
+def _initial_for(param: str, values: list, n: int):
     if param == "x":
-        return build_werner(values, n)
+        return werner_weights(values, n)
     if param == "F":
-        return build_binary_ensemble(values, canonical_label("1" + "0" * (n - 1), +1), n)
+        return binary_weights(values, canonical_label("1" + "0" * (n - 1), +1), n)
     raise ValueError(f"param must be 'x' or 'F', got {param!r}")
 
 
@@ -240,8 +237,8 @@ def sweep(param: str, values, n_qubits: int, template: Schedule,
     rows = []
     for i in range(0, len(values), SWEEP_BLOCK):
         block = values[i:i + SWEEP_BLOCK]
-        initial = _initial_for(param, block, n_qubits)
-        for v, records in zip(block, _run_rows(initial, template, engine)):
+        W = _initial_for(param, block, n_qubits)
+        for v, records in zip(block, _run_rows(n_qubits, W, template, engine)):
             fid, _, cum, _ = records[-1]
             rows.append(SweepRow(v, records[0][0], len(records) - 1, fid, cum,
                                  _converged(template, fid)))

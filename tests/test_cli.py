@@ -167,6 +167,13 @@ class TestConfigErrors:
         (["run"], {"engine": "dense"}),
         (["run"], {"engine": ["fast"]}),
         (["run"], {"engine": {}}),
+        (["run", "--n", "7"], None),
+        (["sweep"], {"initial": {"type": "nonsense"},
+                     "grid": {"param": "F", "values": [0.8, 0.9]}}),
+        (["sweep"], {"initial": {"type": "binary", "F": 0.7, "error_rep": "000",
+                                 "error_sign": -1},
+                     "schedule": ["P1"], "stop": {"rounds": 2},
+                     "grid": {"param": "F", "values": [0.7]}}),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"
@@ -328,6 +335,17 @@ class TestSweep:
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps({"grid": {"values": [0.5, 0.6]}}))
         code = main(["sweep", "--config", str(config), "--outdir", str(tmp_path)])
+        assert code == EXIT_OK
+        initial = [float(r[1]) for r in read_csv(tmp_path / "sweep.csv")[1:]]
+        assert initial == pytest.approx([0.5625, 0.65])
+
+    def test_config_initial_of_the_swept_input_sweeps_the_grid(self, tmp_path):
+        # the grid gives the values: the initial's own x is not used
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"initial": {"type": "werner", "x": 0.3},
+                                      "grid": {"values": [0.5, 0.6]}}))
+        code = main(["sweep", "--config", str(config), "--param", "x",
+                     "--outdir", str(tmp_path)])
         assert code == EXIT_OK
         initial = [float(r[1]) for r in read_csv(tmp_path / "sweep.csv")[1:]]
         assert initial == pytest.approx([0.5625, 0.65])

@@ -3,11 +3,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
-                           build_binary_ensemble, build_bitflip_ensemble,
-                           build_werner, canonical_label, complement,
-                           ensemble_fidelity, ensemble_to_density, fwht,
-                           ghz_label_to_state, hadamard_matrix,
-                           random_ghz_diagonal, target_label)
+                           binary_weights, build_binary_ensemble,
+                           build_bitflip_ensemble, build_werner,
+                           canonical_label, complement, ensemble_fidelity,
+                           ensemble_to_density, fwht, ghz_label_to_state,
+                           hadamard_matrix, random_ghz_diagonal, target_label,
+                           werner_weights)
+from ghzpurify.mc import mc_sample_step
+from ghzpurify.optics import DiscriminationMode
+from ghzpurify.purify import StepKind
+from ghzpurify.schedule import Schedule, run_schedule
 from ghz_helpers import ghz_basis_matrix, is_valid_density
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -135,9 +140,14 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             GhzDiagonalEnsemble(3, {target_label(3): 0.5})
 
-    def test_rejects_oversized(self):
-        with pytest.raises(ValueError):
-            GhzDiagonalEnsemble(7, {target_label(7): 1.0})
+    def test_builds_beyond_the_engine_bounds_that_reject_it(self):
+        ens = GhzDiagonalEnsemble(7, {target_label(7): 1.0})
+        assert ens.W.shape == (2, 64) and ensemble_fidelity(ens) == 1.0
+        mode = DiscriminationMode.even_only()
+        with pytest.raises(ValueError, match="bounded at 6 qubits"):
+            run_schedule(ens, Schedule((StepKind.P1,), mode, stop_rounds=1))
+        with pytest.raises(ValueError, match="bounded at 6 qubits"):
+            mc_sample_step(ens, StepKind.P1, mode, 100, 0)
 
 
 def werner_with(w11, excess=0.0):
@@ -177,6 +187,11 @@ class TestConstructorChecks:
         W[...] = 0.25
         np.testing.assert_array_equal(ens.W, before)
 
+    @pytest.mark.parametrize("shape", [(0, 2, 4), (2, 4, 2), (1, 2, 2, 4), (8,), (2, 2, 4)])
+    def test_rejects_a_shape_that_is_not_one_ensemble(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            GhzDiagonalEnsemble(3, np.full(shape, 1.0 / 8))
+
     @pytest.mark.parametrize("x", [0.8, 1.0], ids=["all_positive", "with_zeros"])
     def test_transposed_array_is_copied_in_its_memory_order(self, x):
         # Stored as the caller laid it out, so a sum over it adds in the
@@ -188,85 +203,30 @@ class TestConstructorChecks:
         np.testing.assert_array_equal(ens.W, W)
 
 
-def stack_with(bad_row):
-    """Three Werner rows at x = 0.8, n = 3, the middle one replaced."""
-    good = build_werner(0.8, 3).W
-    return np.stack([good, bad_row, good])
-
-
-class TestStackedEnsembles:
-    @pytest.mark.parametrize("w11, excess", [
-        (np.nan, 0.0), (-1e-9, 0.0), (0.0, 2e-9), (0.0, -2e-9),
-    ], ids=["nan", "negative", "sum_high", "sum_low"])
-    def test_one_bad_row_rejects_the_stack_with_the_single_message(self, w11, excess):
-        with pytest.raises(ValueError) as single:
-            GhzDiagonalEnsemble(3, werner_with(w11, excess))
-        with pytest.raises(ValueError) as stacked:
-            GhzDiagonalEnsemble(3, stack_with(werner_with(w11, excess)))
-        assert str(stacked.value) == str(single.value)
-
-    def test_negative_zero_and_tiny_negatives_are_clamped_per_row(self):
-        W = np.stack([werner_with(-0.0), werner_with(-1e-11), build_werner(0.8, 3).W])
-        ens = GhzDiagonalEnsemble(3, W)
-        assert ens.W.shape == (3, 2, 4)
-        assert (ens.W[:2, 1, 1] == 0.0).all() and not np.signbit(ens.W[:2, 1, 1]).any()
-        np.testing.assert_array_equal(ens.W[2], build_werner(0.8, 3).W)
-
-    @pytest.mark.parametrize("x", [0.8, 1.0], ids=["all_positive", "with_zeros"])
-    def test_callers_array_stays_theirs(self, x):
-        W = np.stack([build_werner(x, 3).W, build_werner(0.5, 3).W])
-        ens = GhzDiagonalEnsemble(3, W)
-        assert W.flags.writeable and not ens.W.flags.writeable
-        assert not np.shares_memory(ens.W, W)
-        before = ens.W.copy()
-        W[...] = 0.125
-        np.testing.assert_array_equal(ens.W, before)
-
-    @pytest.mark.parametrize("shape", [(0, 2, 4), (2, 4, 2), (1, 2, 2, 4), (8,)])
-    def test_rejects_a_shape_that_is_not_one_or_a_stack(self, shape):
-        with pytest.raises(ValueError, match="shape"):
-            GhzDiagonalEnsemble(3, np.full(shape, 1.0 / 8))
-
-    def test_weights_hold_the_labels_of_any_row(self):
-        error = GhzLabel("011", +1)
-        ens = build_binary_ensemble(np.array([1.0, 0.8]), error, 3)
-        assert dict(ens.weights) == {target_label(3): (1.0, 0.8),
-                                     error: (0.0, pytest.approx(0.2))}
-        assert repr(ens) == "GhzDiagonalEnsemble(n_qubits=3, 2 rows, 2 labels)"
-
-    def test_weight_of_a_stack_is_one_per_row(self):
-        ens = build_werner([0.5, 0.7], 3)
-        np.testing.assert_array_equal(ens.weight(target_label(3)), ensemble_fidelity(ens))
-        np.testing.assert_array_equal(ens.weight(GhzLabel("011", -1)), ens.W[:, 1, 3])
-        np.testing.assert_array_equal(ens.weight(target_label(4)), [0.0, 0.0])
-        single = build_werner(0.5, 3)
-        assert type(single.weight(target_label(3))) is float
-        assert single.weight(target_label(3)) == ens.weight(target_label(3))[0]
-        assert single.weight(target_label(4)) == 0.0
+class TestStackedWeights:
+    """The weight builders take an array of values and give one row per
+    value, the stack that a sweep runs; the ensemble holds one row."""
 
     @pytest.mark.parametrize("n", [2, 3, 6])
-    def test_builders_stack_rows_equal_to_single_builds(self, n):
+    def test_rows_equal_single_builds(self, n):
         values = [0.0, 0.3, 0.55, 0.8, 1.0]
         error = canonical_label("1" + "0" * (n - 1), +1)
         for stacked, single in (
-                (build_werner(np.array(values), n), lambda v: build_werner(v, n)),
-                (build_binary_ensemble(values, error, n),
+                (werner_weights(np.array(values), n), lambda v: build_werner(v, n)),
+                (binary_weights(values, error, n),
                  lambda v: build_binary_ensemble(v, error, n))):
-            assert stacked.W.shape == (len(values), 2, 1 << (n - 1))
-            for row, v in zip(stacked.W, values):
+            assert stacked.shape == (len(values), 2, 1 << (n - 1))
+            for row, v in zip(stacked, values):
                 assert row.tobytes() == single(v).W.tobytes()
-            np.testing.assert_array_equal(ensemble_fidelity(stacked),
-                                          [ensemble_fidelity(single(v)) for v in values])
 
     def test_builders_reject_a_value_out_of_range_with_the_single_message(self):
         with pytest.raises(ValueError, match=r"x must be in \[0, 1\], got 1.5"):
-            build_werner([0.5, 1.5, 0.7], 3)
+            werner_weights([0.5, 1.5, 0.7], 3)
         with pytest.raises(ValueError, match=r"F must be in \[0, 1\], got nan"):
-            build_binary_ensemble([0.5, np.nan], GhzLabel("011", +1), 3)
+            binary_weights([0.5, np.nan], GhzLabel("011", +1), 3)
 
     def test_density_of_a_stack_is_the_stack_of_densities(self):
-        ens = build_werner(np.array([0.2, 0.9]), 3)
-        rho = ensemble_to_density(ens)
+        rho = ensemble_to_density(werner_weights(np.array([0.2, 0.9]), 3))
         for row, x in zip(rho, (0.2, 0.9)):
             np.testing.assert_array_equal(row, ensemble_to_density(build_werner(x, 3)))
 

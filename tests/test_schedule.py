@@ -306,11 +306,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("x", [], 3, sched)
 
-    def test_run_schedule_takes_one_ensemble(self):
-        sched = Schedule(P1, EVEN_ONLY, stop_threshold=0.99)
-        with pytest.raises(ValueError, match="one ensemble"):
-            run_schedule(build_werner(np.array([0.8, 0.9]), 3), sched)
-
 
 def initial_for(param, value, n):
     return build_werner(value, n) if param == "x" else flip_on_qubit_1(value, n)
