@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel,
                            build_binary_ensemble, build_werner,
                            ensemble_fidelity, random_ghz_diagonal,
                            target_label)
-from ghzpurify.mc import _draw_labels, mc_sample_step
+from ghzpurify.mc import BLOCK, _label_reader, mc_sample_step
 from ghzpurify.optics import DiscriminationMode, ModeKind
 from ghzpurify.purify import StepKind, apply_step
 
@@ -283,6 +285,30 @@ class TestBitIdenticalToTheReferenceSampler:
             ens = random_ghz_diagonal(n, np.random.default_rng(100 + k))
             assert_matches_reference(ens, step, DiscriminationMode(kind, eps), 200_000, k)
 
+    # Odd counts over several blocks: copy 2's support draws start mid-word,
+    # and the last block is short.
+    @pytest.mark.parametrize("trials", [2 * BLOCK + 1, 3 * BLOCK - 1])
+    @pytest.mark.parametrize("step", [StepKind.P1, StepKind.P2])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_same_at_odd_counts_over_several_blocks(self, n, step, trials):
+        for k, (kind, eps) in enumerate(itertools.product(ModeKind, (0.0, 0.2))):
+            ens = random_ghz_diagonal(n, np.random.default_rng(200 + k))
+            assert_matches_reference(ens, step, DiscriminationMode(kind, eps), trials, k)
+
+
+class TestConstantMemory:
+    def test_a_million_trials_trace_under_4_mib(self):
+        # One pass over all trials traced 67.7 MiB here; blocks take about 2 MiB.
+        ens = random_ghz_diagonal(6, np.random.default_rng(0))
+        mode = DiscriminationMode.even_plus_odd(epsilon=0.2)
+        tracemalloc.start()
+        try:
+            mc_sample_step(ens, StepKind.P2, mode, 1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
 
 @st.composite
 def random_or_sparse_ensembles(draw):
@@ -335,6 +361,23 @@ class TestGeneratorWordStream:
         assert np.array_equal(want, halves >> (32 - k))
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [0, 1, 2_003, 12_288])
+    def test_an_advanced_pcg64_reads_the_stream_from_word_k(self, seed, k):
+        bits = np.random.PCG64(seed)
+        bits.advance(k)
+        want = np.random.default_rng(seed).bit_generator.random_raw(k + 1_001)[k:]
+        assert np.array_equal(bits.random_raw(1_001), want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("eps", [2.0 ** -53, 1e-300, 0.05, 0.2, 0.49,
+                                     np.nextafter(0.5, 0.0)])
+    def test_a_uniform_below_eps_is_a_word_below_a_threshold(self, seed, eps):
+        rng, bits = self.streams(seed)
+        below = np.uint64(math.ceil(eps * 2.0 ** 53) << 11)
+        assert np.array_equal(rng.random(4_096) < eps, bits.random_raw(4_096) < below)
+
+
 class TestLabelDraw:
     PROBS = ([1.0], [0.25, 0.25, 0.5], [1 / 64] * 64,
              [1e-300, 1 - 1e-12, 1e-12], [1 - 1e-12, 1e-300, 1e-12],
@@ -348,7 +391,8 @@ class TestLabelDraw:
         for seed in range(4):
             rng = np.random.default_rng(seed)
             want = [support[rng.choice(len(probs), trials, p=probs)] for _ in range(2)]
-            got = _draw_labels(support, probs, trials, np.random.default_rng(seed))
+            words = np.random.default_rng(seed).bit_generator.random_raw((2, trials))
+            got = _label_reader(support, probs)(words)
             assert np.array_equal(got, want)
 
     def test_full_uint8_support_never_returns_the_searched_marker(self):
@@ -360,7 +404,8 @@ class TestLabelDraw:
         for seed in range(4):
             rng = np.random.default_rng(seed)
             want = [rng.choice(64, 4_097, p=probs) for _ in range(2)]
-            got = _draw_labels(support, probs, 4_097, np.random.default_rng(seed))
+            words = np.random.default_rng(seed).bit_generator.random_raw((2, 4_097))
+            got = _label_reader(support, probs)(words)
             assert got.dtype == np.uint8
             assert np.array_equal(got, want)
             assert not (got == np.iinfo(np.uint8).max).any()
