@@ -13,8 +13,7 @@ from .purify import (StepKind, StepReport, apply_step, correction_for_outcome,
 from .exact import (ghz_diagonal_extract, fidelity_to_target, p1_exact,
                     p2_exact, project_parity, tensor_pair)
 from .mc import mc_sample_step
-from .schedule import (Schedule, ScheduleTrace, compare_orderings,
-                       run_schedule, sweep)
+from .schedule import Schedule, ScheduleTrace, run_schedule, sweep
 
 __all__ = [
     "GhzDiagonalEnsemble", "GhzLabel", "all_labels", "build_binary_ensemble",
@@ -29,5 +28,5 @@ __all__ = [
     "ghz_diagonal_extract", "fidelity_to_target", "p1_exact", "p2_exact",
     "project_parity", "tensor_pair",
     "mc_sample_step",
-    "Schedule", "ScheduleTrace", "compare_orderings", "run_schedule", "sweep",
+    "Schedule", "ScheduleTrace", "run_schedule", "sweep",
 ]

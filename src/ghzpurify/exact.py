@@ -23,9 +23,9 @@ are BLAS matrix products, O(8^n).
 Brute-force oracle.  `bruteforce_step` does the same operations on the full
 rho (x) rho (O(16^n)): parity projectors, the theta = pi recovery flip, the
 copy-2 measurement channel with a correction for every outcome, and the
-partial trace.  It uses none of the structure above, and takes the
-correction table as an argument, so validation can check the Schur form and
-the table against it.
+partial trace.  It uses none of the structure above, and reads the
+correction table `correction_for_outcome` when it runs, so validation checks
+the Schur form and the table against it.
 
 Readout.  `ghz_diagonal_extract` reads a dense state back as GHZ weights.
 The GHZ basis lives on the diagonal and the anti-diagonal, which in a flat
@@ -177,12 +177,11 @@ def _phase_flip_diag(n: int, qubits: tuple[int, ...]) -> np.ndarray:
     return diag
 
 
-def measure_copy2_and_correct(rho_pair: np.ndarray, step: StepKind,
-                              correction=correction_for_outcome) -> np.ndarray:
+def measure_copy2_and_correct(rho_pair: np.ndarray, step: StepKind) -> np.ndarray:
     """Rotate copy 2 by 45 degrees, sum the Z-measurement channel with
     outcome-conditioned corrections on copy 1, and trace out copy 2."""
     n = num_qubits(rho_pair) // 2
-    D = np.array([_phase_flip_diag(n, correction(step, format(m, f"0{n}b")))
+    D = np.array([_phase_flip_diag(n, correction_for_outcome(step, f"{m:0{n}b}"))
                   for m in range(1 << n)])
     out = np.einsum("mx,xmy,my->xy", D, copy2_outcome_blocks(rho_pair), D)
     return out / out.trace().real
@@ -198,9 +197,9 @@ def _kept_pair_state(rho_pair: np.ndarray, mode: DiscriminationMode
     return kept, keep
 
 
-def bruteforce_step(rho: np.ndarray, step: StepKind | str, mode: DiscriminationMode,
-                    correction=correction_for_outcome) -> tuple[np.ndarray, float]:
-    """The step on the full rho (x) rho, with an injectable correction table.
+def bruteforce_step(rho: np.ndarray, step: StepKind | str, mode: DiscriminationMode
+                    ) -> tuple[np.ndarray, float]:
+    """The step on the full rho (x) rho.
 
     P2 runs the P1 operations in the Hadamard frame.  O(16^n): validation only.
     """
@@ -210,7 +209,7 @@ def bruteforce_step(rho: np.ndarray, step: StepKind | str, mode: DiscriminationM
     if step is StepKind.P2:
         rho = H @ rho @ H
     kept, keep = _kept_pair_state(tensor_pair(rho), mode)
-    out = measure_copy2_and_correct(kept, step, correction)
+    out = measure_copy2_and_correct(kept, step)
     return (H @ out @ H if step is StepKind.P2 else out), keep
 
 

@@ -1,5 +1,5 @@
-"""Iterated purification schedules: fidelity/yield traces, parameter sweeps
-and ordering comparisons."""
+"""Iterated purification schedules: per-round fidelity and yield traces,
+and parameter sweeps, on any engine of the `ENGINES` table."""
 from __future__ import annotations
 
 import math
@@ -243,53 +243,3 @@ def sweep(param: str, values, n_qubits: int, template: Schedule,
             rows.append(SweepRow(v, records[0][0], len(records) - 1, fid, cum,
                                  _converged(template, fid)))
     return rows
-
-
-@dataclass
-class OrderingSummary:
-    steps: tuple[StepKind, ...]
-    rounds: int
-    final_fidelity: float
-    cumulative_yield: float
-    converged: bool
-
-
-@dataclass
-class OrderingComparison:
-    summaries: list[OrderingSummary]
-    by_rounds: list[int]       # indices into summaries, best first
-    by_yield: list[int]
-    ties_rounds: list[tuple[int, int]]
-    ties_yield: list[tuple[int, int]]
-
-
-def compare_orderings(initial: GhzDiagonalEnsemble, orderings: list[Schedule],
-                      engine: str = "fast") -> OrderingComparison:
-    """Rank schedules by rounds-to-stop and by cumulative yield; ties are
-    reported, not broken."""
-    if len(orderings) < 2:
-        raise ValueError("need at least two orderings to compare")
-    summaries = []
-    for sched in orderings:
-        trace = run_schedule(initial, sched, engine)
-        summaries.append(OrderingSummary(sched.steps, trace.n_rounds,
-                                         trace.final_fidelity,
-                                         trace.cumulative_yield, trace.converged))
-
-    # Non-convergent runs rank last regardless of metric.
-    def rounds_key(i):
-        return (not summaries[i].converged, summaries[i].rounds)
-
-    def yield_key(i):
-        return (not summaries[i].converged, -summaries[i].cumulative_yield)
-
-    idx = list(range(len(summaries)))
-    by_rounds = sorted(idx, key=rounds_key)
-    by_yield = sorted(idx, key=yield_key)
-    ties_rounds = [(i, j) for a, i in enumerate(idx) for j in idx[a + 1:]
-                   if rounds_key(i) == rounds_key(j)]
-    ties_yield = [(i, j) for a, i in enumerate(idx) for j in idx[a + 1:]
-                  if math.isclose(summaries[i].cumulative_yield,
-                                  summaries[j].cumulative_yield, rel_tol=1e-12)
-                  and summaries[i].converged == summaries[j].converged]
-    return OrderingComparison(summaries, by_rounds, by_yield, ties_rounds, ties_yield)

@@ -1,5 +1,4 @@
 import csv
-import functools
 import inspect
 import json
 import os
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ghzpurify
-from ghzpurify import cli
+from ghzpurify import cli, exact
 from ghzpurify.cli import (EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
                            EXIT_VALIDATION, MAX_CONFIG_BYTES, MAX_GRID_POINTS,
                            MAX_VALIDATE_CASES, main)
@@ -18,7 +17,6 @@ from ghzpurify.ghz import build_binary_ensemble, canonical_label
 from ghzpurify.optics import DiscriminationMode
 from ghzpurify.purify import StepKind, correction_for_outcome
 from ghzpurify.schedule import ENGINES, Schedule, run_schedule
-from ghzpurify.validation import run_validation
 
 
 def read_csv(path):
@@ -430,20 +428,26 @@ class TestValidate:
         assert main(["validate", "--n-max", "3", "--cases", "5",
                      "--seed", "99"]) == EXIT_OK
 
+    def test_prints_the_six_checks_in_order(self, capsys):
+        assert main(["validate", "--n-max", "3", "--cases", "5"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[:2] for ln in lines] == [
+            ["PASS", name] for name in ("h_grouping", "state_reproduction",
+                                        "measurement_sign_patterns", "oracle_equivalence",
+                                        "dense_vs_bruteforce", "probability_bookkeeping")]
+
     def test_corrupted_p2_correction_localized(self, capsys, monkeypatch):
         def corrupt(step, outcome):
             if step is StepKind.P2 and outcome.count("1"):
                 return (0,)  # wrong pattern: ignores which qubits the outcome flags
             return correction_for_outcome(step, outcome)
 
-        monkeypatch.setattr(cli, "run_validation",
-                            functools.partial(run_validation, p2_correction=corrupt))
+        monkeypatch.setattr(exact, "correction_for_outcome", corrupt)
         code = main(["validate", "--n-max", "3", "--cases", "5"])
         assert code == EXIT_VALIDATION
         lines = capsys.readouterr().out.splitlines()
-        failed = [ln for ln in lines if ln.startswith("FAIL")]
-        assert len(failed) == 1
-        assert "p2_correction_table" in failed[0]
+        failed = [ln.split()[1] for ln in lines if ln.startswith("FAIL")]
+        assert failed == ["dense_vs_bruteforce"]
 
     def test_n_max_bound(self, capsys):
         assert main(["validate", "--n-max", "6"]) == EXIT_CONFIG

@@ -323,7 +323,7 @@ def random_or_sparse_ensembles(draw):
 
 
 class TestBitIdenticalProperty:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(ens=random_or_sparse_ensembles(), step=st.sampled_from(StepKind),
            kind=st.sampled_from(ModeKind), eps=st.sampled_from((0.0, 0.05, 0.2, 0.49)),
            trials=st.integers(1, 3_000), seed=st.integers(0, 2 ** 63 - 1))

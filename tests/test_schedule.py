@@ -15,7 +15,7 @@ from ghzpurify.ghz import (MAX_QUBITS_EXACT, MAX_QUBITS_FAST, GhzLabel,
 from ghzpurify.optics import DiscriminationMode
 from ghzpurify.purify import StepKind, apply_step, step_map
 from ghzpurify.schedule import (MAX_ROUNDS, SWEEP_BLOCK, RoundRecord, Schedule,
-                                compare_orderings, run_schedule, sweep)
+                                run_schedule, sweep)
 
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()
@@ -352,7 +352,7 @@ class TestSweepAgainstStepwise:
     """A sweep runs its grid as stacks; every row must still equal its own
     point run round by round, whatever the stack does to its neighbours."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @settings(max_examples=120)
     @given(sweep_cases())
     # plateaus below the threshold and replays to MAX_ROUNDS, beside points
     # that start converged or converge
@@ -408,49 +408,3 @@ class TestSweepAgainstStepwise:
         assert_rows_match_stepwise(rows, "F", values, 6, sched, "fast")
         assert {r.converged for r in rows} == {True, False}
 
-
-class TestCompareOrderings:
-    def test_both_orders_converge(self):
-        s12 = Schedule(P1P2, EVEN_ONLY, stop_threshold=0.99)
-        s21 = Schedule((StepKind.P2, StepKind.P1), EVEN_ONLY, stop_threshold=0.99)
-        cmp = compare_orderings(build_werner(0.8, 3), [s12, s21])
-        assert all(s.converged for s in cmp.summaries)
-        assert len(cmp.by_rounds) == 2
-        assert len(cmp.by_yield) == 2
-
-    def test_identical_schedules_tie(self):
-        s = Schedule(P1P2, EVEN_ONLY, stop_threshold=0.99)
-        cmp = compare_orderings(build_werner(0.8, 3), [s, s])
-        assert (0, 1) in cmp.ties_rounds
-        assert (0, 1) in cmp.ties_yield
-
-    def test_yields_orders_of_magnitude_apart_do_not_tie(self):
-        # Both yields are far below any absolute tolerance of 1e-15.
-        s1 = Schedule(P1, EVEN_ONLY, stop_rounds=40)
-        s2 = Schedule((StepKind.P2,), EVEN_ONLY, stop_rounds=40)
-        cmp = compare_orderings(build_werner(0.8, 3), [s1, s2])
-        y1, y2 = (s.cumulative_yield for s in cmp.summaries)
-        assert y1 > 1e6 * y2 > 0.0
-        assert cmp.ties_yield == []
-
-    def test_nonconvergent_ranks_last(self):
-        good = Schedule(P1P2, EVEN_ONLY, stop_threshold=0.99)
-        bad = Schedule(P1, EVEN_ONLY, stop_threshold=0.99)
-        cmp = compare_orderings(build_werner(0.8, 3), [bad, good])
-        assert cmp.by_rounds[0] == 1
-        assert not cmp.summaries[0].converged
-
-    def test_needs_two(self):
-        s = Schedule(P1P2, EVEN_ONLY, stop_threshold=0.99)
-        with pytest.raises(ValueError):
-            compare_orderings(build_werner(0.8, 3), [s])
-
-
-class TestModeEquivalence:
-    def test_six_mode_trace_identical_to_even_only(self):
-        k = 3
-        eo = run_schedule(bit_error(), Schedule(P1, EVEN_ONLY, stop_rounds=k))
-        six = run_schedule(bit_error(), Schedule(P1, SIX_MODE, stop_rounds=k))
-        for a, b in zip(eo.rounds, six.rounds):
-            assert a.fidelity == b.fidelity
-            assert a.keep_probability == b.keep_probability
