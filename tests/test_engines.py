@@ -28,6 +28,7 @@ WEIGHT_TOL = 1e-9
 FIDELITY_TOL = 1e-12
 
 EACH_ENGINE = pytest.mark.parametrize("name", list(ENGINES))
+EACH_STEP = pytest.mark.parametrize("step", list(StepKind), ids=lambda step: step.value)
 SUITE = settings(max_examples=40)
 
 
@@ -65,40 +66,40 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@EACH_STEP
 @engine_property
-def test_keep_is_a_probability_and_the_readout_an_ensemble(name, data):
+def test_keep_is_a_probability_and_the_readout_an_ensemble(name, step, data):
     eng, n, _, state = drawn(name, data)
-    for step in StepKind:
-        for mode in MODES:
-            out, keep = eng.step(state, step, mode)
-            fid = eng.fidelity(out)
-            for row, row_keep, row_fid in zip(out, keep, fid):
-                # a keep of exactly one can round to one ulp or two past it
-                assert 0.0 < row_keep <= 1.0 + KEEP_TOL
-                ens = eng.readout(n, row)   # the ensemble's checks run here
-                assert abs(row_fid - ens.W[0, 0]) <= FIDELITY_TOL
+    for mode in MODES:
+        out, keep = eng.step(state, step, mode)
+        fid = eng.fidelity(out)
+        for row, row_keep, row_fid in zip(out, keep, fid):
+            # a keep of exactly one can round to one ulp or two past it
+            assert 0.0 < row_keep <= 1.0 + KEEP_TOL
+            ens = eng.readout(n, row)   # the ensemble's checks run here
+            assert abs(row_fid - ens.W[0, 0]) <= FIDELITY_TOL
 
 
+@EACH_STEP
 @EACH_ENGINE
-def test_target_is_a_fixed_point(name):
+def test_target_is_a_fixed_point(name, step):
     eng = ENGINES[name]
     for n in range(2, eng.max_qubits + 1):
         target = np.zeros((2, 1 << (n - 1)))
         target[0, 0] = 1.0
-        for step in StepKind:
-            for mode in MODES:
-                out, _ = eng.step(eng.encode(target), step, mode)
-                assert np.abs(eng.readout(n, out).W - target).max() <= FIDELITY_TOL
-                assert abs(eng.fidelity(out) - 1.0) <= FIDELITY_TOL
+        for mode in MODES:
+            out, _ = eng.step(eng.encode(target), step, mode)
+            assert np.abs(eng.readout(n, out).W - target).max() <= FIDELITY_TOL
+            assert abs(eng.fidelity(out) - 1.0) <= FIDELITY_TOL
 
 
+@EACH_STEP
 @engine_property
-def test_six_mode_equals_even_only_bit_for_bit(name, data):
+def test_six_mode_equals_even_only_bit_for_bit(name, step, data):
     eng, _, _, state = drawn(name, data)
-    for step in StepKind:
-        six, six_keep = eng.step(state, step, SIX_MODE)
-        one, one_keep = eng.step(state, step, EVEN_ONLY)
-        assert same_bits(six, one) and same_bits(six_keep, one_keep)
+    six, six_keep = eng.step(state, step, SIX_MODE)
+    one, one_keep = eng.step(state, step, EVEN_ONLY)
+    assert same_bits(six, one) and same_bits(six_keep, one_keep)
 
 
 @engine_property
@@ -113,17 +114,17 @@ def test_even_plus_odd_doubles_the_keep_bit_for_bit(name, data):
         assert same_bits(both_keep, 2.0 * one_keep)
 
 
+@EACH_STEP
 @engine_property
-def test_stacked_rows_equal_single_rows_bit_for_bit(name, data):
+def test_stacked_rows_equal_single_rows_bit_for_bit(name, step, data):
     eng, _, W, state = drawn(name, data)
-    for step in StepKind:
-        for mode in MODES:
-            out, keep = eng.step(state, step, mode)
-            assert np.shape(keep) == (len(W),)
-            for row_W, row, row_keep in zip(W, out, keep):
-                single, single_keep = eng.step(eng.encode(row_W), step, mode)
-                assert same_bits(row, single)
-                assert row_keep == single_keep
+    for mode in MODES:
+        out, keep = eng.step(state, step, mode)
+        assert np.shape(keep) == (len(W),)
+        for row_W, row, row_keep in zip(W, out, keep):
+            single, single_keep = eng.step(eng.encode(row_W), step, mode)
+            assert same_bits(row, single)
+            assert row_keep == single_keep
 
 
 @engine_property
@@ -137,17 +138,17 @@ def test_a_step_by_name_runs_that_step(name, data):
         eng.step(state, "P3", EVEN_ONLY)
 
 
+@EACH_STEP
 @EACH_ENGINE
-def test_noisy_readout_raises(name):
+def test_noisy_readout_raises(name, step):
     """Every entry models error-free parity readout, so a misclassification
     probability is an error, not ignored."""
     eng = ENGINES[name]
     n = eng.max_qubits
     state = eng.encode(np.full((2, 1 << (n - 1)), 1.0 / (1 << n)))
-    for step in StepKind:
-        for kind in (ModeKind.EVEN_ONLY, ModeKind.EVEN_PLUS_ODD):
-            with pytest.raises(ValueError, match="epsilon"):
-                eng.step(state, step, DiscriminationMode(kind, 0.2))
+    for kind in (ModeKind.EVEN_ONLY, ModeKind.EVEN_PLUS_ODD):
+        with pytest.raises(ValueError, match="epsilon"):
+            eng.step(state, step, DiscriminationMode(kind, 0.2))
 
 
 @pytest.mark.parametrize("pair", list(itertools.combinations(ENGINES, 2)), ids="-".join)
