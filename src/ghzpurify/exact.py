@@ -23,9 +23,10 @@ are BLAS matrix products, O(8^n).
 Brute-force oracle.  `bruteforce_step` does the same operations on the full
 rho (x) rho (O(16^n)): parity projectors, the theta = pi recovery flip, the
 copy-2 measurement channel with a correction for every outcome, and the
-partial trace.  It uses none of the structure above, and reads the
-correction table `correction_for_outcome` when it runs, so validation checks
-the Schur form and the table against it.
+partial trace.  It uses none of the structure above, and looks up the
+correction table by this module's name `correction_for_outcome` when it
+runs, so validation checks the Schur form and the table against it (a test
+that corrupts the table patches `exact.correction_for_outcome`).
 
 Readout.  `ghz_diagonal_extract` reads a dense state back as GHZ weights.
 The GHZ basis lives on the diagonal and the anti-diagonal, which in a flat

@@ -165,8 +165,10 @@ def check_dense_vs_bruteforce(n_max: int = 5, seed: int = 7,
     density matrices, which are not GHZ-diagonal: both steps, with and
     without the odd branch.
 
-    The Schur form needs no correction table; the oracle applies
-    `purify.correction_for_outcome` to every copy-2 outcome.  So this also
+    The Schur form needs no correction table; the oracle applies the
+    table to every copy-2 outcome, looking up `exact.correction_for_outcome`
+    when it runs (so a test that corrupts the table patches that name, not
+    `purify.correction_for_outcome`).  So this also
     checks the table: P2's flips must cancel the X-outcome sign signature
     (-1)^(x.m) exactly, and unlike a GHZ basis state a random state also
     sees a table that is off by a flip on every qubit."""

@@ -5,9 +5,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzpurify.exact import exact_step
-from ghzpurify.ghz import (MAX_QUBITS_FAST, GhzDiagonalEnsemble, GhzLabel,
-                           target_label)
+from ghzpurify.exact import exact_step, ghz_diagonal_extract
+from ghzpurify.ghz import (MAX_QUBITS_EXACT, MAX_QUBITS_FAST, GhzDiagonalEnsemble,
+                           GhzLabel, ensemble_to_density, target_label)
 from ghzpurify.mc import mc_sample_step
 from ghzpurify.optics import DiscriminationMode, ModeKind
 from ghzpurify.purify import StepKind, apply_step
@@ -26,8 +26,8 @@ EPSILONS = (0.0, 0.05, 0.2)
 SEEDS = st.integers(0, 2 ** 32 - 1)
 # The fast maps' properties run past the MC's and the pair sum's n <= 6.
 FAST_MAX_N = 8
-# The engine suite (test_engines.py) runs the doubling and six-mode laws up
-# to the fast engine's bound, so here they are drawn past it.
+# The engine suite (test_engines.py) runs the fixed-point, doubling and
+# six-mode laws up to each engine's bound, so here they are drawn past it.
 PAST_FAST_BOUND = MAX_QUBITS_FAST + 1
 
 
@@ -92,7 +92,7 @@ def test_output_is_a_distribution_and_keep_a_probability(ens):
 
 
 @SETTINGS
-@given(st.integers(2, FAST_MAX_N))
+@given(st.integers(PAST_FAST_BOUND, FAST_MAX_N))
 def test_target_is_a_fixed_point(n):
     target = GhzDiagonalEnsemble(n, {target_label(n): 1.0})
     for step in StepKind:
@@ -189,3 +189,19 @@ def test_dense_even_plus_odd_doubles_p1_keep_exactly(rho):
     _, one = exact_step(sym, StepKind.P1, EVEN_ONLY)
     _, both = exact_step(sym, StepKind.P1, EVEN_PLUS_ODD)
     assert both == 2.0 * one
+
+
+# n = 6 only: the engine suite checks the dense step against the fast one up
+# to the dense entry's bound, but `exact_step` itself runs past it.
+@SETTINGS
+@given(ensembles(6, MAX_QUBITS_EXACT + 1))
+def test_dense_engine_matches_the_fast_engine_on_ghz_diagonal_input(ens):
+    rho = ensemble_to_density(ens)
+    for step in StepKind:
+        for mode in MODES:
+            fast = apply_step(ens, step, mode)
+            out, keep = exact_step(rho, step, mode)
+            extracted, residual = ghz_diagonal_extract(out)
+            assert abs(keep - fast.keep_probability) <= 1e-12
+            assert np.abs(extracted.W - fast.output.W).max() <= 1e-9
+            assert residual <= 1e-10

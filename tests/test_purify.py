@@ -260,8 +260,8 @@ class TestBitIdentity:
 
 
 class TestStackedSteps:
-    """step_map on a stack of weights checks each row as a step on that row
-    alone checks it."""
+    """step_map on a stack runs the ensemble checks on each row, as a
+    single-row step does."""
 
     def test_keep_floor_is_checked_per_row(self, monkeypatch):
         from ghzpurify import purify

@@ -407,4 +407,3 @@ class TestSweepAgainstStepwise:
         rows = sweep("F", values, 6, sched)
         assert_rows_match_stepwise(rows, "F", values, 6, sched, "fast")
         assert {r.converged for r in rows} == {True, False}
-
