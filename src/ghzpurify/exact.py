@@ -75,16 +75,17 @@ def _ghz_pairs(n: int) -> np.ndarray:
 
 def _schur_kept(rho: np.ndarray, mode: DiscriminationMode
                 ) -> tuple[np.ndarray, PerRow, PerRow]:
-    """rho∘rho, plus rho∘(P rho P) for even-plus-odd; its trace, and the
+    """rho∘rho, plus rho∘(P rho P) for even-plus-odd; its trace capped at 1
+    (the keep: a trace that rounds past 1 is still a probability), and the
     trace shaped to divide it."""
     kept = rho * rho
     if mode.kind is ModeKind.EVEN_PLUS_ODD:
         kept += rho * rho[..., ::-1, ::-1]
     if kept.ndim == 2:
-        keep = float(kept.trace().real)
-        return kept, keep, keep
-    keep = kept.trace(axis1=1, axis2=2).real
-    return kept, keep, keep[:, None, None]
+        norm = float(kept.trace().real)
+        return kept, min(norm, 1.0), norm
+    norm = kept.trace(axis1=1, axis2=2).real
+    return kept, np.minimum(norm, 1.0), norm[:, None, None]
 
 
 def p1_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, PerRow]:

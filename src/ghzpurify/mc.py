@@ -2,66 +2,81 @@
 
 Label pairs are drawn from the ensemble, and each copy is collapsed to one of
 its computational-basis support strings (for P2, to a Hadamard-frame support
-string).  A trial's verdict is one n-bit parity pattern, one bit per party,
-set when that party reads odd: the true pattern z = x xor y, each bit flipped
-with probability epsilon by homodyne misclassification (not under six-mode
-PBS).  The trial is kept when the pattern reads all even, or all odd under
-even-plus-odd.  The draws are fixed in kind and order (both copies' labels as
-by Generator.choice, then their support strings, then the misread mask), so a
-seed fixes the output.  They are read straight from the raw 64-bit words of
-the generator's stream (PCG64), which Generator.random and Generator.integers
-would turn into the same values: a double is a word's top 53 bits over 2^53,
-integers(0, 2^k) is the top k bits of one 32-bit half, low half first
-(Lemire's method never rejects a power-of-two range), and random() < epsilon
-reads word < ceil(epsilon * 2^53) << 11.  A P2 support string is computed
-from its draw a, an (n-1)-bit integer, as a << 1 | parity(a).
+string).  The true parity pattern z = x xor y has one bit per party, set when
+that party's check is odd.  Homodyne misclassification flips each party's
+verdict with probability epsilon, so the trial is kept with the chance K(z)
+of `DiscriminationMode.keep_weights`: that z reads all even, or all odd
+under even-plus-odd (six-mode PBS ignores epsilon).  One uniform per trial
+decides it: kept just when rng.random() < K(z).  Where every K is 0 or 1
+(epsilon = 0, or six-mode) the verdict is read off z and nothing is drawn.
 
-The trials run in blocks of BLOCK.  PCG64 is an LCG at heart, so it can jump
-ahead k words in O(log k) steps: each block reads its own words at their
-places in the stream of default_rng(seed), and the output is that of one pass
-over all trials, bit for bit.  Memory is O(BLOCK * n) whatever the trial
-count: one step at n = 6 and epsilon = 0.2 traces 2.2 MiB at 10^6 trials and
-at 10^7 (68 MiB and 677 MiB in one pass), and takes 0.04 s and 0.4 s on a
-shared 2-core x86 machine.  Label codes, patterns and outputs are held in the
-narrowest unsigned dtype that holds 2^n (uint8 up to n = 7).
+The draws are fixed in kind and order, so a seed fixes the output.  With T
+trials, the words of default_rng(seed)'s stream are: copy 1's labels [0, T)
+and copy 2's [T, 2T), as drawn by Generator.choice; the support draws
+[2T, 3T), copy 1's in the 32-bit halves [0, T) and copy 2's in [T, 2T); and
+the verdicts [3T, 4T).  They are read straight from the raw 64-bit words of
+the generator (PCG64), which Generator.random and Generator.integers would
+turn into the same values: a double is a word's top 53 bits over 2^53,
+integers(0, 2^k) is the top k bits of one 32-bit half, low half first
+(Lemire's method never rejects a power-of-two range), and random() < K reads
+word >> 11 < ceil(K * 2^53).  A P2 support string is computed from its draw
+a, an (n-1)-bit integer, as a << 1 | parity(a).
+
+The trials run in blocks of BLOCK, and one PCG64 cursor per segment of the
+stream (advanced once, in O(log T) steps) reads on from block to block, so
+the output is that of one pass over all trials, bit for bit.  BLOCK keeps
+every array of a block, 8 bytes a trial at most, below glibc's default
+128 KiB mmap threshold: at 2^15 trials the 256 KiB word arrays were mapped
+and unmapped, or the heap grown and trimmed, every block, at one minor page
+fault per 4 KiB page.  Memory is O(BLOCK) whatever the trial count: one step
+at n = 6 and epsilon = 0.2 traces 0.46 MiB at 10^6 trials and at 10^7 (68 MiB
+and 677 MiB in one pass), and takes 0.02 s and 0.2 s on a shared 2-core x86
+machine.  Label codes, patterns and outputs are held in the narrowest
+unsigned dtype that holds 2^n (uint8 up to n = 7).
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .ghz import MAX_QUBITS_FAST, GhzDiagonalEnsemble
-from .optics import DiscriminationMode, ModeKind
+from .optics import DiscriminationMode
 from .purify import StepKind, StepReport
 
 GUIDE_BITS = 12
-BLOCK = 1 << 15
+BLOCK = 16_000
 
 
 def _label_reader(support: np.ndarray, probs: np.ndarray):
     """The map from m raw words of the stream to m label codes in support's
     dtype, draw for draw support[rng.choice(len(probs), m, p=probs)] when
     choice draws from those words: it turns them into the uniforms
-    u = (word >> 11) * 2^-53.  A guide table of 2^GUIDE_BITS buckets maps
-    each word's top GUIDE_BITS bits, which are floor(u * 2^GUIDE_BITS), to
-    its label, or to the dtype's maximum where the bucket holds a CDF point;
-    only those draws rebuild u and are searched, as choice searches.  Every
-    code in support must lie below that maximum."""
+    u = (word >> 11) * 2^-53 and counts the CDF points at or below each.  A
+    guide table of 2^GUIDE_BITS buckets maps each word's top GUIDE_BITS
+    bits, which are floor(u * 2^GUIDE_BITS), to its label, or to the dtype's
+    maximum where a CDF point lies inside the bucket; only those draws
+    rebuild u and are searched, as choice searches.  Every code in support
+    must lie below that maximum."""
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    edges = np.arange((1 << GUIDE_BITS) + 1) / (1 << GUIDE_BITS)
-    lo = cdf.searchsorted(edges[:-1], side="right")
+    # u reaches the CDF point c just where word >> 11 reaches c * 2^53
+    # (exact), or its ceiling: the points as integers.
+    points = np.ceil(cdf * 2.0 ** 53).astype(np.uint64)
+    shift = 53 - GUIDE_BITS   # bucket k holds word >> 11 in [k, k + 1) << shift
+    # the points at or below each bucket's lower edge
+    edge = np.bincount(((points + ((1 << shift) - 1)) >> shift).astype(np.intp),
+                       minlength=(1 << GUIDE_BITS) + 1)
+    table = support[edge[:1 << GUIDE_BITS].cumsum()]
     searched = np.iinfo(support.dtype).max
-    table = np.where(lo == cdf.searchsorted(edges[1:], side="left"), support[lo], searched)
+    table[(points >> shift)[points & ((1 << shift) - 1) != 0].astype(np.intp)] = searched
 
-    def labels(words: np.ndarray) -> np.ndarray:
-        # floor(u * 2^GUIDE_BITS) is the word's top GUIDE_BITS bits; below
-        # 2^63, so its int64 view is an index that needs no cast.
-        lab = table[(words >> (64 - GUIDE_BITS)).view(np.int64)]
-        tie = np.flatnonzero(lab == searched)
-        u = (words.flat[tie] >> 11) * 2.0 ** -53
-        lab.flat[tie] = support[cdf.searchsorted(u, side="right")]
+    def labels(words: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Label codes of `words`; `index`, an intp array of their shape, is
+        overwritten."""
+        # the guide buckets, each below 2^GUIDE_BITS, as the index's bits
+        np.right_shift(words, 64 - GUIDE_BITS, out=index.view(np.uint64))
+        lab = table.take(index)
+        tie = (lab == searched).ravel().nonzero()[0]
+        lab.put(tie, support[points.searchsorted(words.take(tie) >> 11, side="right")])
         return lab
     return labels
 
@@ -69,6 +84,40 @@ def _label_reader(support: np.ndarray, probs: np.ndarray):
 def _is_integer(x) -> bool:
     """A Python or numpy integer, and not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _draws_verdicts(keep: np.ndarray) -> bool:
+    """Whether a step draws a verdict per trial: some true pattern is kept
+    by chance, 0 < K < 1.  Otherwise every K is 0 or 1, and a trial's
+    verdict is read off its pattern without a draw."""
+    return bool(((keep > 0.0) & (keep < 1.0)).any())
+
+
+def _cursor(seed: np.random.SeedSequence, word: int) -> np.random.PCG64:
+    """A PCG64 that reads on through default_rng(seed)'s stream from word
+    `word`."""
+    cursor = np.random.PCG64(seed)
+    cursor.advance(word)
+    return cursor
+
+
+def _halves_reader(seed: np.random.SeedSequence, half: int):
+    """m -> the next m 32-bit halves of default_rng(seed)'s stream, from
+    half `half` on: word half // 2, low half first (little-endian on every
+    host).  A read that ends mid-word steps its cursor back one word, so
+    the next read opens on that word's high half."""
+    cursor = _cursor(seed, half // 2)
+    skip = half % 2
+
+    def read(m: int) -> np.ndarray:
+        nonlocal skip
+        words = cursor.random_raw((skip + m + 1) // 2)
+        halves = words.astype("<u8", copy=False).view("<u4")[skip:skip + m]
+        skip = (skip + m) % 2
+        if skip:
+            cursor.advance(-1)
+        return halves
+    return read
 
 
 def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
@@ -93,6 +142,7 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
         raise ValueError(f"Monte Carlo is bounded at {MAX_QUBITS_FAST} qubits")
     step = StepKind(step)
     trials = int(trials)  # a numpy integer would overflow the stream offsets
+    seed = np.random.SeedSequence(int(seed))
     full = (1 << n) - 1
 
     # Nonzero label codes rep * 2 + (sign == -1), in all_labels order, in the
@@ -102,44 +152,36 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     support = np.flatnonzero(flat)
     codes = support.astype(np.min_scalar_type(1 << n))
     labels = _label_reader(codes, flat[support])
-    cursor = np.random.PCG64(seed)
-    start = cursor.state
+    # One cursor per segment of the stream, each read on block by block.
+    labels1, labels2 = _cursor(seed, 0).random_raw, _cursor(seed, trials).random_raw
+    halves1, halves2 = _halves_reader(seed, 4 * trials), _halves_reader(seed, 5 * trials)
 
-    def words(offset: int, count: int) -> np.ndarray:
-        """Words [offset, offset + count) of default_rng(seed)'s stream: copy
-        1's labels are [0, T), copy 2's [T, 2T), the support draws [2T, 3T)
-        and the misread mask, in (trial, party) order, [3T, 3T + nT)."""
-        cursor.state = start
-        cursor.advance(offset)
-        return cursor.random_raw(count)
+    keep = mode.keep_weights(n)
+    noisy = _draws_verdicts(keep)
+    if noisy:
+        verdicts = _cursor(seed, 3 * trials).random_raw
+        # rng.random() < K reads (word >> 11) * 2^-53 < K; K * 2^53 is exact,
+        # and an integer lies below it just when it lies below its ceiling,
+        # at most 2^53.
+        below = np.ceil(keep * 2.0 ** 53).astype(np.uint64)
+    else:
+        kept_patterns = np.flatnonzero(keep).tolist()
+    # One intp index per trial, reused by every gather and by the tally.
+    index = np.empty(min(BLOCK, trials), np.intp)
 
-    def halves(h: int, m: int) -> np.ndarray:
-        """Support draws [h, h + m), the 32-bit halves of words [2T, 3T), low
-        half first (little-endian on every host): copy 1 takes [0, T), copy 2
-        [T, 2T), so copy 2 starts mid-word when T is odd."""
-        w = words(2 * trials + h // 2, (h % 2 + m + 1) // 2)
-        return w.astype("<u8", copy=False).view("<u4")[h % 2:h % 2 + m]
-
-    eps = mode.misclassification_probability
-    # Party k (qubit k, the bit of weight 2^(n-1-k)) misreads with
-    # probability eps; photon-number post-selection has no such error.
-    # rng.random() < eps reads (word >> 11) * 2^-53 < eps, and the integer
-    # word >> 11 lies below eps * 2^53 just when word < ceil(eps * 2^53) << 11.
-    noisy = eps > 0.0 and mode.kind is not ModeKind.SIX_MODE_PBS
-    below = np.uint64(math.ceil(eps * 2.0 ** 53) << 11)
-    weights = np.array([1 << (n - 1 - k) for k in range(n)], codes.dtype)
-    # Integer tallies, so their sums do not depend on the order of the blocks.
-    counts = np.zeros(2 << n, dtype=np.int64)
-    spurious_count = 0
-    for b in range(0, trials, BLOCK):
-        m = min(BLOCK, trials - b)
-        lab1, lab2 = labels(words(b, m)), labels(words(trials + b, m))
+    def block(m: int):
+        """The next m trials: the tally of their codes (the output label,
+        plus 2^n where rejected) and their spurious keeps.  Its arrays are
+        freed when it returns, before the next block draws."""
+        at = index[:m]
+        lab1, lab2 = labels(labels1(m), at), labels(labels2(m), at)
         # The correction cancels the sign that copy 2's outcome leaves, so the
         # output label does not depend on that outcome, which is not drawn.
         z = lab1 ^ lab2
         # A power-of-two integers(0, 2^k) draw is the half's top k bits, and
         # only the two copies' XOR enters z.
-        both = halves(b, m) ^ halves(trials + b, m)
+        both = halves1(m)
+        both ^= halves2(m)
         if step is StepKind.P1:
             # Support of (e, s) is {e, ~e}, each with probability 1/2; output (e1, s1 s2).
             both >>= 31
@@ -161,18 +203,31 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
             out = lab2 & (full ^ 1)
         out ^= lab1
 
-        read = z
+        spurious = 0
         if noisy:
-            misread = words(3 * trials + n * b, n * m).reshape(m, n) < below
-            read = misread.view(np.uint8) @ weights
-            read ^= z
-        rejected = read != 0
-        if mode.kind is ModeKind.EVEN_PLUS_ODD:
-            rejected &= read != full
-        if noisy:  # kept trials whose true pattern is neither all even nor all odd
-            spurious_count += m - int(np.count_nonzero(rejected | (z == 0) | (z == full)))
-        out |= rejected.view(np.uint8) << n
-        counts += np.bincount(out, minlength=2 << n)
+            np.copyto(at, z)
+            # Each threshold K[z] * 2^53 lands on the index it was read from:
+            # numpy buffers an `out` only under mode="raise".
+            limit = below.take(at, out=at.view(np.uint64), mode="clip")
+            u = verdicts(m)
+            u >>= 11
+            rejected = u >= limit
+            # kept trials whose true pattern is neither all even nor all odd
+            spurious = m - int(np.count_nonzero(rejected | (z == 0) | (z == full)))
+        else:
+            rejected = z != kept_patterns[0]
+            for pattern in kept_patterns[1:]:
+                rejected &= z != pattern
+        np.bitwise_or(out, rejected.view(np.uint8) << n, out=at)
+        return np.bincount(at, minlength=2 << n), spurious
+
+    # Integer tallies, so their sums do not depend on the order of the blocks.
+    counts = np.zeros(2 << n, dtype=np.int64)
+    spurious_count = 0
+    for b in range(0, trials, BLOCK):
+        tally, spurious = block(min(BLOCK, trials - b))
+        counts += tally
+        spurious_count += spurious
 
     counts = counts[:1 << n]
     n_kept = int(counts.sum())

@@ -122,6 +122,27 @@ class DiscriminationMode:
     def six_mode_pbs(cls):
         return cls(ModeKind.SIX_MODE_PBS, 0.0, math.pi)
 
+    def keep_weights(self, n: int) -> np.ndarray:
+        """K(z), the chance that a copy pair whose true parity pattern is z
+        is kept, for each n-bit z (party k's bit, of weight 2^(n-1-k), is set
+        when its check is odd).  Each party's verdict flips independently
+        with probability epsilon, so z reads all even with probability
+        q(z) = epsilon^|z| (1 - epsilon)^(n-|z|), taken as a product over the
+        parties in order, and all odd with q(~z).  Even-only keeps K = q(z);
+        even-plus-odd keeps K = q(z) + q(~z), capped at 1 against round-off.
+        Six-mode PBS post-selects on photon number, which no homodyne
+        verdict misreads: it ignores epsilon, and its K is [z = 0]."""
+        eps = self.misclassification_probability
+        if self.kind is ModeKind.SIX_MODE_PBS:
+            eps = 0.0
+        bits = np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None] & 1
+        q = np.ones(1 << n)
+        for factor in np.where(bits, eps, 1.0 - eps):   # party 0 first
+            q *= factor
+        if self.kind is ModeKind.EVEN_PLUS_ODD:
+            q = np.minimum(q + q[::-1], 1.0)   # ~z is (2^n - 1) - z
+        return q
+
 
 def discriminate(shift_class: ShiftClass, mode: DiscriminationMode,
                  rng: np.random.Generator | None = None) -> Verdict:

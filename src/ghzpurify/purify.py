@@ -80,7 +80,9 @@ def _finish(raw: np.ndarray, scale: float):
     per row of a stack.  Returns (W', keep) with W' checked as the ensemble
     constructor checks it: a keep below MIN_KEEP or NaN raises, and so does
     a weight below -1e-10; round-off negatives and -0.0 become +0.0.  Each
-    row sums to one, as it is divided by its own total."""
+    row sums to one, as it is divided by its own total.  The keep is capped
+    at 1: a total that rounds past it (weights that sum to an ulp above 1,
+    or (w+^2 + w-^2) + 2 w+ w- past (w+ + w-)^2) is still a probability."""
     if raw.ndim == 2:
         total = float(raw.sum())
         keep = lowest = scale * total
@@ -95,6 +97,7 @@ def _finish(raw: np.ndarray, scale: float):
     lo = raw.min()
     if not lo >= -1e-10:
         raise ValueError(f"weights must be >= -1e-10 and not NaN, got {lo}")
+    keep = min(keep, 1.0) if raw.ndim == 2 else np.minimum(keep, 1.0, out=keep)
     return (np.where(raw > 0.0, raw, 0.0) if lo <= 0.0 else raw), keep
 
 

@@ -74,8 +74,8 @@ def test_keep_is_a_probability_and_the_readout_an_ensemble(name, step, data):
         out, keep = eng.step(state, step, mode)
         fid = eng.fidelity(out)
         for row, row_keep, row_fid in zip(out, keep, fid):
-            # a keep of exactly one can round to one ulp or two past it
-            assert 0.0 < row_keep <= 1.0 + KEEP_TOL
+            # a keep of exactly one that rounds past it is capped at one
+            assert 0.0 < row_keep <= 1.0
             ens = eng.readout(n, row)   # the ensemble's checks run here
             assert abs(row_fid - ens.W[0, 0]) <= FIDELITY_TOL
 
@@ -105,13 +105,14 @@ def test_six_mode_equals_even_only_bit_for_bit(name, step, data):
 @engine_property
 def test_even_plus_odd_doubles_the_keep_bit_for_bit(name, data):
     """P1 at every n; P2 at even n only, since at odd n its all-odd branch
-    pairs opposite signs (the one exemption of the doubling law)."""
+    pairs opposite signs (the one exemption of the doubling law).  The
+    doubled keep is capped at one, as every keep is."""
     eng, n, _, state = drawn(name, data)
     for step in ([StepKind.P1, StepKind.P2] if n % 2 == 0 else [StepKind.P1]):
         both, both_keep = eng.step(state, step, EVEN_PLUS_ODD)
         one, one_keep = eng.step(state, step, EVEN_ONLY)
         assert same_bits(both, one)
-        assert same_bits(both_keep, 2.0 * one_keep)
+        assert same_bits(both_keep, np.minimum(2.0 * one_keep, 1.0))
 
 
 @EACH_STEP

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -188,10 +189,33 @@ class TestValidation:
         assert ensemble_fidelity(rep.output) == 1.0
 
 
+def kept_chance(n, mode):
+    """K[z] for each true parity pattern z, by its own per-party product:
+    the chance that every party reads even, each party (qubit k, the bit of
+    weight 2^(n-1-k)) misreading with probability epsilon, party 0 first;
+    under even-plus-odd, plus the chance that every party reads odd.
+    Six-mode PBS reads no homodyne verdict, so it misreads nothing."""
+    full = (1 << n) - 1
+    eps = mode.misclassification_probability
+    if mode.kind is ModeKind.SIX_MODE_PBS:
+        eps = 0.0
+
+    def all_even(pattern):
+        p = 1.0
+        for k in range(n):
+            p *= eps if pattern >> (n - 1 - k) & 1 else 1.0 - eps
+        return p
+
+    both = mode.kind is ModeKind.EVEN_PLUS_ODD
+    return np.array([all_even(z) + (all_even(full ^ z) if both else 0.0)
+                     for z in range(full + 1)])
+
+
 def reference_sample_step(ens, step, mode, trials, seed):
     """The per-trial sampler that mc_sample_step must match draw for draw:
     one rng.choice per copy, each copy's support string as an explicit
-    computational string, and the misread pattern by a matrix product.
+    computational string, and one rng.random() per trial against the chance
+    K[z] that its true pattern z reads as a kept verdict.
     Returns (W, keep, branch_stats), or the ValueError message."""
     n = ens.n_qubits
     full = (1 << n) - 1
@@ -217,12 +241,12 @@ def reference_sample_step(ens, step, mode, trials, seed):
 
     x = support_samples(reps[i1], signs[i1])
     y = support_samples(reps[i2], signs[i2])
-    z = read = x ^ y
-    eps = mode.misclassification_probability
-    if eps > 0.0 and mode.kind is not ModeKind.SIX_MODE_PBS:
-        misread = rng.random((trials, n)) < eps
-        read = z ^ (misread @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64)))
-    kept = (read == 0) | ((read == full) & (mode.kind is ModeKind.EVEN_PLUS_ODD))
+    z = x ^ y
+    K = kept_chance(n, mode)
+    if ((K > 0.0) & (K < 1.0)).any():
+        kept = rng.random(trials) < K[z]
+    else:
+        kept = K[z] == 1.0
     n_kept = int(kept.sum())
     if n_kept == 0:
         return "no kept trials; increase trials"
@@ -296,9 +320,76 @@ class TestBitIdenticalToTheReferenceSampler:
             assert_matches_reference(ens, step, DiscriminationMode(kind, eps), trials, k)
 
 
+def enumerated_law(ens, step, mode):
+    """(keep, spurious share, output weights) of one step, summed over every
+    pair of labels and every pair of their support strings, with no
+    sampler: P1 collapses (e, s) to e or ~e, P2 to any of the 2^(n-1)
+    strings whose weight is odd just when s = -1, each equally likely.  A
+    pair of strings x, y is kept with K[x ^ y] and leaves (e1, s1 s2) under
+    P1, (e1 xor e2, s1) under P2; it is a spurious keep when x ^ y is
+    neither all even nor all odd."""
+    n = ens.n_qubits
+    full = (1 << n) - 1
+    flat = ens.W.T.ravel()   # flat[rep * 2 + (sign == -1)]
+    K = kept_chance(n, mode)
+
+    def strings(code):
+        if step is StepKind.P1:
+            return [code >> 1, (code >> 1) ^ full]
+        return [x for x in range(full + 1) if x.bit_count() % 2 == code & 1]
+
+    weights = np.zeros(full + 1)
+    spurious = 0.0
+    for c1, c2 in itertools.product(range(full + 1), repeat=2):
+        z = np.bitwise_xor.outer(strings(c1), strings(c2))
+        pair = flat[c1] * flat[c2]
+        out = c1 ^ (c2 & 1) if step is StepKind.P1 else c1 ^ (c2 & (full ^ 1))
+        weights[out] += pair * K[z].mean()
+        spurious += pair * np.where((z == 0) | (z == full), 0.0, K[z]).mean()
+    keep = weights.sum()
+    return keep, spurious, weights / keep
+
+
+LAW_NS = (2, 3, 4)
+LAW_EPSILONS = (0.05, 0.2, 0.49)
+LAW_TRIALS = 200_000
+# Each case compares its keep, its spurious share and every output weight.
+LAW_COMPARISONS = (len(StepKind) * len(ModeKind) * len(LAW_EPSILONS)
+                   * sum(2 + (1 << n) for n in LAW_NS))
+# A Bonferroni bound: all comparisons pass by chance with probability >= 0.999.
+LAW_SIGMAS = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * LAW_COMPARISONS))
+
+
+def within_law(got, p, trials):
+    """A binomial share of `trials` at probability p, within LAW_SIGMAS
+    standard deviations of p (an exact 0 or 1 admits no deviation)."""
+    assert abs(got - p) <= LAW_SIGMAS * math.sqrt(p * (1.0 - p) / trials), (got, p)
+
+
+class TestEnumeratedLaw:
+    """The law of a step at epsilon > 0 (and of six-mode PBS, which ignores
+    epsilon), enumerated without a sampler, against mc_sample_step."""
+
+    @pytest.mark.parametrize("eps", LAW_EPSILONS)
+    @pytest.mark.parametrize("kind", list(ModeKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("step", list(StepKind), ids=lambda step: step.value)
+    def test_keep_spurious_share_and_output_follow_the_law(self, step, kind, eps):
+        mode = DiscriminationMode(kind, eps)
+        for n in LAW_NS:
+            ens = random_ghz_diagonal(n, np.random.default_rng(300 + n))
+            keep, spurious, weights = enumerated_law(ens, step, mode)
+            rep = mc_sample_step(ens, step, mode, LAW_TRIALS, seed=n)
+            within_law(rep.keep_probability, keep, LAW_TRIALS)
+            within_law(rep.branch_stats.get(("spurious", "*"), 0.0), spurious, LAW_TRIALS)
+            kept = rep.keep_probability * LAW_TRIALS
+            for got, want in zip(rep.output.W.T.ravel(), weights):
+                within_law(got, want, kept)
+
+
 class TestConstantMemory:
-    def test_a_million_trials_trace_under_4_mib(self):
-        # One pass over all trials traced 67.7 MiB here; blocks take about 2 MiB.
+    def test_a_million_trials_trace_under_1_mib(self):
+        # One pass over all trials traced 67.7 MiB here; blocks take about
+        # 0.46 MiB, each array of a block below glibc's 128 KiB mmap threshold.
         ens = random_ghz_diagonal(6, np.random.default_rng(0))
         mode = DiscriminationMode.even_plus_odd(epsilon=0.2)
         tracemalloc.start()
@@ -307,7 +398,7 @@ class TestConstantMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        assert peak < 2 ** 20
 
 
 @st.composite
@@ -370,12 +461,16 @@ class TestGeneratorWordStream:
         assert np.array_equal(bits.random_raw(1_001), want)
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("eps", [2.0 ** -53, 1e-300, 0.05, 0.2, 0.49,
-                                     np.nextafter(0.5, 0.0)])
-    def test_a_uniform_below_eps_is_a_word_below_a_threshold(self, seed, eps):
+    @pytest.mark.parametrize("keep", [0.0, 1e-300, 2.0 ** -53, 0.05, 0.2, 0.49 ** 3,
+                                      np.nextafter(0.5, 0.0), 0.51 ** 2 + 0.49 ** 2,
+                                      np.nextafter(1.0, 0.0), 1.0])
+    def test_a_uniform_below_k_is_a_word_whose_top_53_bits_lie_below_a_threshold(
+            self, seed, keep):
+        # K * 2^53 is exact, and an integer lies below it just where it lies
+        # below its ceiling, which is at most 2^53 (K = 1 keeps every word).
         rng, bits = self.streams(seed)
-        below = np.uint64(math.ceil(eps * 2.0 ** 53) << 11)
-        assert np.array_equal(rng.random(4_096) < eps, bits.random_raw(4_096) < below)
+        below = np.ceil(np.array([keep]) * 2.0 ** 53).astype(np.uint64)
+        assert np.array_equal(rng.random(4_096) < keep, bits.random_raw(4_096) >> 11 < below)
 
 
 class TestLabelDraw:
@@ -392,7 +487,7 @@ class TestLabelDraw:
             rng = np.random.default_rng(seed)
             want = [support[rng.choice(len(probs), trials, p=probs)] for _ in range(2)]
             words = np.random.default_rng(seed).bit_generator.random_raw((2, trials))
-            got = _label_reader(support, probs)(words)
+            got = _label_reader(support, probs)(words, np.empty(words.shape, np.intp))
             assert np.array_equal(got, want)
 
     def test_full_uint8_support_never_returns_the_searched_marker(self):
@@ -405,7 +500,7 @@ class TestLabelDraw:
             rng = np.random.default_rng(seed)
             want = [rng.choice(64, 4_097, p=probs) for _ in range(2)]
             words = np.random.default_rng(seed).bit_generator.random_raw((2, 4_097))
-            got = _label_reader(support, probs)(words)
+            got = _label_reader(support, probs)(words, np.empty(words.shape, np.intp))
             assert got.dtype == np.uint8
             assert np.array_equal(got, want)
             assert not (got == np.iinfo(np.uint8).max).any()

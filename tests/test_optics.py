@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ghzpurify.mc import _draws_verdicts
 from ghzpurify.optics import (DiscriminationMode, KerrInteraction, ModeKind,
                               ProbeBeam, ShiftClass, Verdict, classify_phase,
                               discriminate, kerr_evolve, qnd_parity_shift,
@@ -138,3 +141,35 @@ class TestSixMode:
                                                    ("H", "V")[int(b)])), mode)
                     is Verdict.EVEN for a, b in zip(s1, s2))
                 assert six_mode_keep((s1, s2)) == all_even
+
+
+class TestKeepWeights:
+    """K(z), the readout model that the Monte Carlo reads: the chance that
+    a pair whose true parity pattern is z is kept, at every n of a GHZ
+    state that the Monte Carlo runs (at n = 1, even-plus-odd keeps every
+    verdict, misread or not)."""
+
+    @settings(max_examples=300)
+    @given(n=st.integers(2, 6), kind=st.sampled_from(ModeKind),
+           eps=st.floats(0.0, 0.5, exclude_max=True))
+    def test_the_readout_model(self, n, kind, eps):
+        mode = DiscriminationMode(kind, eps)
+        keep = mode.keep_weights(n)
+        z = np.arange(1 << n)
+        full = (1 << n) - 1
+        assert keep.shape == (1 << n,)
+        assert ((0.0 <= keep) & (keep <= 1.0)).all()
+        # epsilon = 0: only the all-even pattern, and the all-odd one under
+        # even-plus-odd, is kept, and kept surely
+        ideal = (z == 0) | ((z == full) & (kind is ModeKind.EVEN_PLUS_ODD))
+        assert np.array_equal(DiscriminationMode(kind, 0.0).keep_weights(n), ideal)
+        if kind is ModeKind.SIX_MODE_PBS:
+            assert np.array_equal(keep, ideal)   # photon counting misreads nothing
+        if kind is ModeKind.EVEN_PLUS_ODD:
+            assert np.array_equal(keep, keep[::-1])   # K(z) = K(~z)
+        # q(z), the chance that z reads all even, is a distribution over z
+        q = DiscriminationMode(ModeKind.EVEN_ONLY, eps).keep_weights(n)
+        assert abs(q.sum() - 1.0) <= 1e-12
+        # the Monte Carlo draws verdicts just where the readout can misread
+        noisy = bool(((0.0 < keep) & (keep < 1.0)).any())
+        assert _draws_verdicts(keep) == noisy == (eps > 0.0 and kind is not ModeKind.SIX_MODE_PBS)

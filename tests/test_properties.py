@@ -88,7 +88,7 @@ def test_output_is_a_distribution_and_keep_a_probability(ens):
             rep = apply_step(ens, step, mode)
             assert abs(rep.output.W.sum() - 1.0) <= 1e-12
             assert (rep.output.W >= 0.0).all()
-            assert 0.0 < rep.keep_probability <= 1.0 + 1e-12
+            assert 0.0 < rep.keep_probability <= 1.0
 
 
 @SETTINGS
@@ -107,7 +107,7 @@ def test_even_plus_odd_doubles_keep_exactly(ens):
     for step in steps:
         one = apply_step(ens, step, EVEN_ONLY)
         both = apply_step(ens, step, EVEN_PLUS_ODD)
-        assert both.keep_probability == 2.0 * one.keep_probability
+        assert both.keep_probability == min(2.0 * one.keep_probability, 1.0)
         assert np.array_equal(both.output.W, one.output.W)
 
 
@@ -177,7 +177,7 @@ def test_dense_output_is_a_state_and_keep_a_probability(rho):
         for mode in MODES:
             out, keep = exact_step(rho, step, mode)
             assert is_valid_density(out)   # Hermitian, trace one, eigenvalues >= -1e-10
-            assert 0.0 < keep <= 1.0 + 1e-12
+            assert 0.0 < keep <= 1.0
 
 
 @SETTINGS
@@ -188,7 +188,7 @@ def test_dense_even_plus_odd_doubles_p1_keep_exactly(rho):
     sym = (rho + rho[::-1, ::-1]) / 2.0
     _, one = exact_step(sym, StepKind.P1, EVEN_ONLY)
     _, both = exact_step(sym, StepKind.P1, EVEN_PLUS_ODD)
-    assert both == 2.0 * one
+    assert both == min(2.0 * one, 1.0)
 
 
 # n = 6 only: the engine suite checks the dense step against the fast one up
