@@ -14,8 +14,8 @@ from pathlib import Path
 from .ghz import (MAX_QUBITS_EXACT, GhzDiagonalEnsemble, GhzLabel, build_binary_ensemble,
                   build_bitflip_ensemble, build_werner, canonical_label)
 from .optics import DiscriminationMode, ModeKind
-from .purify import StepKind
-from .schedule import ENGINES, Schedule, ScheduleTrace, run_schedule, sweep
+from .purify import check_ideal_readout
+from .schedule import ENGINES, Schedule, ScheduleTrace, engine_for, run_schedule, sweep
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -136,21 +136,15 @@ def build_schedule(config: dict) -> Schedule:
         raise ConfigError("field 'schedule' must be a list of steps, e.g. "
                           f"[\"P1\", \"P2\"], got {config['schedule']!r}")
     try:
-        steps = tuple(StepKind(s) for s in config["schedule"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"field 'schedule': {err}")
-    try:
-        mode = DiscriminationMode(ModeKind(config["mode"]), _number(config["epsilon"]))
+        mode = DiscriminationMode(config["mode"], _number(config["epsilon"]))
+        check_ideal_readout(mode)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"field 'mode'/'epsilon': {err}")
-    if mode.misclassification_probability != 0.0:
-        raise ConfigError("epsilon must be 0: the fast and exact engines "
-                          "model ideal parity readout")
     stop = config["stop"]
     if not isinstance(stop, dict) or set(stop) not in ({"rounds"}, {"threshold"}):
         raise ConfigError("field 'stop' must be {\"rounds\": k} or {\"threshold\": f}")
     try:
-        return Schedule(steps, mode,
+        return Schedule(config["schedule"], mode,
                         stop_rounds=stop.get("rounds"),
                         stop_threshold=stop.get("threshold"))
     except (TypeError, ValueError) as err:
@@ -158,15 +152,10 @@ def build_schedule(config: dict) -> Schedule:
 
 
 def _check_bounds(config: dict):
-    n = config["n_qubits"]
-    if not isinstance(n, int) or n < 2:
-        raise ConfigError("n_qubits must be an integer >= 2")
-    name = config["engine"]
-    if not isinstance(name, str) or name not in ENGINES:
-        raise ConfigError(f"engine must be one of {sorted(ENGINES)}, got {name!r}")
-    if n > ENGINES[name].max_qubits:
-        raise ConfigError(f"n_qubits={n} exceeds the {name}-engine "
-                          f"bound of {ENGINES[name].max_qubits}")
+    try:
+        engine_for(config["engine"], config["n_qubits"])
+    except ValueError as err:
+        raise ConfigError(str(err))
 
 
 def _outdir(args) -> Path:

@@ -222,6 +222,8 @@ def ghz_diagonal_extract(rho: np.ndarray) -> tuple[GhzDiagonalEnsemble, float]:
 
     The label (e, s) lives on {|e>, |~e>}, so its weight reads four entries:
     w(e, s) = ½ Re(rho[e, e] + rho[~e, ~e]) + s·½ Re(rho[e, ~e] + rho[~e, e]).
+    The ensemble constructor checks these weights over their total: NaN or a
+    weight below -1e-10 (which no state has) raises.
     As ~x = 2^n - 1 - x, rho[x, x] and rho[x, ~x] are the strided views
     flat[::d+1] and flat[d-1:-1:d-1] of a flat C-ordered d x d matrix, the
     lines `ensemble_to_density` writes.  The GHZ basis is orthonormal, so the
@@ -249,8 +251,7 @@ def ghz_diagonal_extract(rho: np.ndarray) -> tuple[GhzDiagonalEnsemble, float]:
     W = np.empty((2, m))
     np.add(mean[:m], cross[:m], out=W[0])
     np.subtract(mean[:m], cross[:m], out=W[1])
-    np.maximum(W, 0.0, out=W)
-    W /= W.sum()
+    W /= abs(W.sum())   # keeps each weight's sign, so a negative trace raises too
     return GhzDiagonalEnsemble(n, W), residual
 
 

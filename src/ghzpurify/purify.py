@@ -70,8 +70,8 @@ def check_ideal_readout(mode: DiscriminationMode):
     """The deterministic step maps, closed-form and dense, model an
     error-free parity readout."""
     if mode.misclassification_probability != 0.0:
-        raise ValueError("deterministic step maps require epsilon = 0; "
-                         "use mc_sample_step for noisy readout")
+        raise ValueError("epsilon must be 0: the fast and exact engines model "
+                         "an ideal parity readout (mc_sample_step samples a noisy one)")
 
 
 def _finish(raw: np.ndarray, scale: float):

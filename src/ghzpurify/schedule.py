@@ -50,6 +50,8 @@ class Schedule:
             raise ValueError("schedule needs at least one step")
         # a step given by name ("P1") runs that step; an unknown name raises
         object.__setattr__(self, "steps", tuple(StepKind(s) for s in self.steps))
+        if not isinstance(self.mode, DiscriminationMode):
+            raise ValueError(f"mode must be a DiscriminationMode, got {self.mode!r}")
         if (self.stop_rounds is None) == (self.stop_threshold is None):
             raise ValueError("specify exactly one of stop_rounds, stop_threshold")
         # numbers.Integral and numbers.Real take numpy scalars; bool is excluded
@@ -114,6 +116,18 @@ def _replay(records: list, period: int, end: int):
         records.append((fid, keep, records[-1][2] * (keep / 2.0), state))
 
 
+def engine_for(engine: str, n: int) -> Engine:
+    """The `ENGINES` entry named `engine`, once n is an integer within its
+    bounds (a numpy integer is one; a bool fails the lower bound)."""
+    if not isinstance(engine, str) or engine not in ENGINES:
+        raise ValueError(f"engine must be one of {sorted(ENGINES)}, got {engine!r}")
+    eng = ENGINES[engine]
+    if not (isinstance(n, numbers.Integral) and 2 <= n <= eng.max_qubits):
+        raise ValueError(f"{engine} engine is bounded at {eng.max_qubits} qubits "
+                         f"and takes an integer n >= 2, got {n!r}")
+    return eng
+
+
 def _run_rows(n: int, W, sched: Schedule, engine: str,
               record: bool = False) -> list[list[tuple]]:
     """Run the schedule on one n-qubit ensemble's weights W, or on a stack.
@@ -129,11 +143,7 @@ def _run_rows(n: int, W, sched: Schedule, engine: str,
     repeats that cycle for ever: it leaves the stack too, and its remaining
     rounds are replayed from its own records.
     """
-    if not isinstance(engine, str) or engine not in ENGINES:
-        raise ValueError(f"engine must be one of {sorted(ENGINES)}, got {engine!r}")
-    eng = ENGINES[engine]
-    if n > eng.max_qubits:
-        raise ValueError(f"{engine} engine is bounded at {eng.max_qubits} qubits")
+    eng = engine_for(engine, n)
     stacked = W.ndim == 3
     # a round stop never stops a row at a fidelity
     thr = math.inf if sched.stop_threshold is None else sched.stop_threshold
@@ -234,6 +244,7 @@ def sweep(param: str, values, n_qubits: int, template: Schedule,
     values = list(values)
     if not values:
         raise ValueError("empty sweep grid")
+    engine_for(engine, n_qubits)   # a bad name or n raises before a stack is built
     rows = []
     for i in range(0, len(values), SWEEP_BLOCK):
         block = values[i:i + SWEEP_BLOCK]

@@ -132,7 +132,8 @@ def check_oracle_equivalence(n_max: int = 4, seed: int = 7,
     The fast side is `purify.step_map`, the map that `run` and `sweep` step;
     the dense side is `exact.exact_step` on the ensemble's density matrix,
     read back by `exact.ghz_diagonal_extract`.  Reports the worst deviation
-    of weight, keep or residual; any NaN, even in unreadable weights, fails.
+    of weight, keep or residual; a NaN, or a weight the extract rejects,
+    fails.
     """
     rng = np.random.default_rng(seed)
     worst_diag = worst_keep = worst_res = 0.0
@@ -147,7 +148,7 @@ def check_oracle_equivalence(n_max: int = 4, seed: int = 7,
                 rho_out, keep = exact.exact_step(rho, step, mode)
                 try:
                     out_ens, residual = exact.ghz_diagonal_extract(rho_out)
-                except ValueError:   # NaN weights: no ensemble to compare
+                except ValueError:   # NaN or negative weights: no ensemble
                     diff = residual = np.nan
                 else:
                     diff = float(np.abs(W - out_ens.W).max())

@@ -39,8 +39,8 @@ def reference_extract(rho: np.ndarray) -> tuple[GhzDiagonalEnsemble, float]:
     diff[x, x[::-1]] -= cross
     residual = float(np.linalg.norm(diff))
     reps = slice(0, len(x) // 2)                   # canonical reps: first bit 0
-    W = np.clip(np.stack([mean[reps] + cross[reps], mean[reps] - cross[reps]]), 0.0, None)
-    return GhzDiagonalEnsemble(n, W / W.sum()), residual
+    W = np.stack([mean[reps] + cross[reps], mean[reps] - cross[reps]])
+    return GhzDiagonalEnsemble(n, W / abs(W.sum())), residual
 
 
 def rational_weights(ens: GhzDiagonalEnsemble) -> dict[tuple[int, int], Fraction]:
@@ -51,7 +51,8 @@ def rational_weights(ens: GhzDiagonalEnsemble) -> dict[tuple[int, int], Fraction
 
 
 def rational_step(weights: dict, n: int, step: StepKind, mode):
-    """P1 or P2 in exact arithmetic, one label pair at a time: (weights', keep).
+    """P1 or P2 one label pair at a time: (weights', keep), in the arithmetic
+    of the weights given, exact for Fractions and float for floats.
 
     P1 keeps equal-rep pairs with probability 1/2 per kept branch and leaves
     (e, s1 s2).  P2 keeps equal-sign pairs with probability 2^-(n-1) and

@@ -7,21 +7,18 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from ghzpurify import exact
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            build_binary_ensemble, build_werner,
                            ensemble_fidelity, ensemble_to_density,
-                           ghz_label_to_state, hadamard_matrix,
-                           random_ghz_diagonal)
+                           ghz_label_to_state, hadamard_matrix)
 from ghzpurify.mc import mc_sample_step
 from ghzpurify.optics import DiscriminationMode
-from ghzpurify.purify import StepKind, apply_step, p1_step, p2_step
+from ghzpurify.purify import StepKind, apply_step, p1_step
 from ghzpurify.schedule import Schedule, run_schedule, sweep
-from ghzpurify.validation import (check_measurement_sign_patterns,
-                                  check_state_reproduction,
-                                  rotated_ghz_expansion)
+from ghzpurify.validation import (check_h_grouping, check_measurement_sign_patterns,
+                                  check_oracle_equivalence, check_state_reproduction)
 
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()
@@ -138,13 +135,10 @@ def test_criterion_4_hadamard_grouping_table():
             want[int(bits, 2)] = amp / 2.0
         worst = max(worst, float(np.abs(got - want).max()))
     # even/odd-weight grouping for larger registers
-    for n in (2, 3, 4, 5):
-        for label in all_labels(n):
-            got = hadamard_matrix(n) @ ghz_label_to_state(label, n)
-            worst = max(worst, float(
-                np.abs(got - rotated_ghz_expansion(label, n)).max()))
-    _report(4, "rotated-basis table and parity grouping", worst < 1e-12,
-            f"dev={worst:.2e}")
+    grouping = check_h_grouping(5)
+    worst = max(worst, grouping.max_deviation)
+    _report(4, "rotated-basis table and parity grouping",
+            worst < 1e-12 and grouping.passed, f"dev={worst:.2e}")
 
 
 def test_criterion_5_state_reproduction():
@@ -157,30 +151,10 @@ def test_criterion_5_state_reproduction():
 
 def test_criterion_6_oracle_equivalence():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(7)
-    worst_diag = worst_keep = worst_res = 0.0
-    modes = (EVEN_ONLY, EVEN_PLUS_ODD)
-    for n in (2, 3, 4):
-        labels = all_labels(n)
-        for c in range(200):
-            ens = random_ghz_diagonal(n, rng)
-            rho = ensemble_to_density(ens)
-            mode = modes[c % 2]
-            for step in (P1, P2):
-                fast = apply_step(ens, step, mode)
-                rho_out, keep = exact.exact_step(rho, step, mode)
-                oracle, residual = exact.ghz_diagonal_extract(rho_out)
-                worst_diag = max(worst_diag, max(
-                    abs(fast.output.weight(lab) - oracle.weight(lab))
-                    for lab in labels))
-                worst_keep = max(worst_keep, abs(fast.keep_probability - keep))
-                worst_res = max(worst_res, residual)
+    check = check_oracle_equivalence(n_max=4, seed=7, cases=200)
     elapsed = time.perf_counter() - t0
-    ok = (worst_diag < 1e-9 and worst_keep < 1e-12 and worst_res < 1e-10
-          and elapsed < 120.0)
-    _report(6, "fast vs exact engine on 600 random ensembles", ok,
-            f"diag={worst_diag:.2e} keep={worst_keep:.2e} "
-            f"res={worst_res:.2e} t={elapsed:.1f}s")
+    _report(6, "fast vs exact engine on 600 random ensembles",
+            check.passed and elapsed < 120.0, f"{check.detail} t={elapsed:.1f}s")
 
 
 def test_criterion_7_werner_schedules():

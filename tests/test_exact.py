@@ -66,26 +66,12 @@ class TestTensorPair:
 
 
 class TestProjectParity:
-    def test_even_branch_state_and_probability(self):
-        pair = tensor_pair(projector(phi_plus()))
-        proj, p = project_parity(pair, "even")
-        assert p == pytest.approx(0.5, abs=1e-12)
-        expected = projector(vec(6, {"000000": S2, "111111": S2}))
-        assert_allclose(proj / p, expected, atol=1e-12)
-
     def test_cross_combination_rejected(self):
         pair = np.kron(projector(phi_plus()), projector(phi_one()))
         _, p_even = project_parity(pair, "even")
         _, p_odd = project_parity(pair, "odd")
         assert p_even == pytest.approx(0.0, abs=1e-12)
         assert p_odd == pytest.approx(0.0, abs=1e-12)
-
-    def test_odd_branch_before_recovery(self):
-        pair = tensor_pair(projector(phi_plus()))
-        proj, p = project_parity(pair, "odd", recover_odd=False)
-        assert p == pytest.approx(0.5, abs=1e-12)
-        expected = projector(vec(6, {"000111": S2, "111000": S2}))
-        assert_allclose(proj / p, expected, atol=1e-12)
 
     def test_odd_recovery_equals_even_state(self):
         pair = tensor_pair(projector(phi_plus()))
@@ -254,6 +240,16 @@ class TestDiagonalExtract:
                                          rel=1e-12)
         assert_allclose(got.W, (diag / diag.sum()).reshape(-1, 2).T, rtol=0,
                         atol=1e-12)
+
+    def test_a_negative_weight_raises_as_in_the_constructor(self):
+        # w(000, -) = 0.5 - 0.9 = -0.4: not a state, so it reads as no ensemble;
+        # nor does -I/8, whose weights are all negative
+        rho = np.zeros((8, 8))
+        rho[0, 0] = rho[7, 7] = 0.5
+        rho[0, 7] = rho[7, 0] = 0.9
+        for r in (rho, -np.eye(8) / 8):
+            with pytest.raises(ValueError, match="weights must be >= -1e-10"):
+                ghz_diagonal_extract(r)
 
     def test_small_residual_is_resolved(self):
         # A 1e-11 perturbation of a GHZ-diagonal state: the residual is read

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from ghzpurify.exact import exact_step, ghz_diagonal_extract
 from ghzpurify.ghz import (MAX_QUBITS_EXACT, MAX_QUBITS_FAST, GhzDiagonalEnsemble,
-                           GhzLabel, ensemble_to_density, target_label)
+                           ensemble_to_density, target_label)
 from ghzpurify.mc import mc_sample_step
 from ghzpurify.optics import DiscriminationMode, ModeKind
 from ghzpurify.purify import StepKind, apply_step
-from ghz_helpers import is_valid_density
+from ghz_helpers import is_valid_density, rational_step, rational_weights
 
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()
@@ -41,43 +41,18 @@ def ensembles(draw, max_n=6, min_n=2):
     return GhzDiagonalEnsemble(n, (raw / raw.sum()).reshape(2, -1))
 
 
-def pair_reference(ens, step, mode):
-    """The step as a sum over label pairs, following purify's derivation:
-    P1 keeps pairs with equal reps (probability 1/2 per kept branch) and
-    leaves (e, s1 s2); P2 keeps pairs with s1 == s2 in the even branch and
-    s1 == s2 (-1)^n in the odd one (probability 2^-(n-1) each) and leaves
-    (e1 xor e2, s1)."""
-    n = ens.n_qubits
-    odd_kept = mode.kind is ModeKind.EVEN_PLUS_ODD
-    raw = {}
-    for a, wa in ens.weights.items():
-        for b, wb in ens.weights.items():
-            if step is StepKind.P1:
-                if a.rep != b.rep:
-                    continue
-                mass = 0.5 * (1 + odd_kept) * wa * wb
-                out = GhzLabel(a.rep, a.sign * b.sign)
-            else:
-                branches = (a.sign == b.sign) + (odd_kept and
-                                                 a.sign == b.sign * (-1) ** n)
-                mass = 2.0 ** -(n - 1) * branches * wa * wb
-                out = GhzLabel(format(int(a.rep, 2) ^ int(b.rep, 2), f"0{n}b"),
-                               a.sign)
-            raw[out] = raw.get(out, 0.0) + mass
-    keep = sum(raw.values())
-    return {label: w / keep for label, w in raw.items()}, keep
-
-
 @SETTINGS
 @given(ensembles())
 def test_steps_match_the_pair_sum(ens):
+    # the label-pair rules of the rational tests, run on the float weights
+    weights = {label: float(w) for label, w in rational_weights(ens).items()}
     for step in StepKind:
         for mode in MODES:
             rep = apply_step(ens, step, mode)
-            want, keep = pair_reference(ens, step, mode)
+            want, keep = rational_step(weights, ens.n_qubits, step, mode)
             assert abs(rep.keep_probability - keep) <= 1e-12
-            for label in set(want) | set(rep.output.weights):
-                assert abs(rep.output.weight(label) - want.get(label, 0.0)) <= 1e-12
+            for (s, e), w in np.ndenumerate(rep.output.W):
+                assert abs(w - want.get((e, 1 - 2 * s), 0.0)) <= 1e-12
 
 
 @SETTINGS

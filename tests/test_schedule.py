@@ -105,6 +105,10 @@ class TestScheduleType:
         with pytest.raises(ValueError):
             Schedule(("P3",), EVEN_ONLY, stop_rounds=2)
 
+    def test_a_mode_that_is_not_a_discrimination_mode_raises(self):
+        with pytest.raises(ValueError, match="DiscriminationMode"):
+            Schedule(("P1",), "even-only", stop_rounds=2)
+
 
 class TestRunSchedule:
     def test_binary_p1_fidelity_sequence(self):
@@ -305,6 +309,12 @@ class TestSweep:
         sched = Schedule(P1, EVEN_ONLY, stop_threshold=0.99)
         with pytest.raises(ValueError):
             sweep("x", [], 3, sched)
+
+    @pytest.mark.parametrize("n", [0, 1, MAX_QUBITS_FAST + 1, 40, 3.0])
+    def test_n_outside_the_engine_bounds_raises(self, n):
+        sched = Schedule(P1, EVEN_ONLY, stop_threshold=0.99)
+        with pytest.raises(ValueError, match="bounded at 6 qubits and takes an integer n >= 2"):
+            sweep("x", [0.8], n, sched)
 
 
 def initial_for(param, value, n):
