@@ -223,7 +223,8 @@ def ghz_diagonal_extract(rho: np.ndarray) -> tuple[GhzDiagonalEnsemble, float]:
     The label (e, s) lives on {|e>, |~e>}, so its weight reads four entries:
     w(e, s) = ½ Re(rho[e, e] + rho[~e, ~e]) + s·½ Re(rho[e, ~e] + rho[~e, e]).
     The ensemble constructor checks these weights over their total: NaN or a
-    weight below -1e-10 (which no state has) raises.
+    weight below -1e-10 (which no state has) raises, and so does a zero
+    total, read as NaN weights.
     As ~x = 2^n - 1 - x, rho[x, x] and rho[x, ~x] are the strided views
     flat[::d+1] and flat[d-1:-1:d-1] of a flat C-ordered d x d matrix, the
     lines `ensemble_to_density` writes.  The GHZ basis is orthonormal, so the
@@ -251,7 +252,8 @@ def ghz_diagonal_extract(rho: np.ndarray) -> tuple[GhzDiagonalEnsemble, float]:
     W = np.empty((2, m))
     np.add(mean[:m], cross[:m], out=W[0])
     np.subtract(mean[:m], cross[:m], out=W[1])
-    W /= abs(W.sum())   # keeps each weight's sign, so a negative trace raises too
+    total = abs(W.sum())   # keeps each weight's sign, so a negative trace raises too
+    W /= total if total else np.nan   # a zero total: NaN weights, with no 0/0 warning
     return GhzDiagonalEnsemble(n, W), residual
 
 

@@ -10,29 +10,32 @@ under even-plus-odd (six-mode PBS ignores epsilon).  One uniform per trial
 decides it: kept just when rng.random() < K(z).  Where every K is 0 or 1
 (epsilon = 0, or six-mode) the verdict is read off z and nothing is drawn.
 
-The draws are fixed in kind and order, so a seed fixes the output.  With T
-trials, the words of default_rng(seed)'s stream are: copy 1's labels [0, T)
-and copy 2's [T, 2T), as drawn by Generator.choice; the support draws
-[2T, 3T), copy 1's in the 32-bit halves [0, T) and copy 2's in [T, 2T); and
-the verdicts [3T, 4T).  They are read straight from the raw 64-bit words of
-the generator (PCG64), which Generator.random and Generator.integers would
-turn into the same values: a double is a word's top 53 bits over 2^53,
-integers(0, 2^k) is the top k bits of one 32-bit half, low half first
-(Lemire's method never rejects a power-of-two range), and random() < K reads
+The draws are fixed in kind and order, so a seed fixes the output.  They are
+read in order from one generator, default_rng(seed)'s PCG64, block by block
+of BLOCK trials.  A block of m trials reads its next words: m for copy 1's
+labels and m for copy 2's, as Generator.choice draws them; m support words,
+read as 2m 32-bit halves, low half first, copy 1's draws the first m halves
+and copy 2's the next m; and m verdict words, only where some 0 < K < 1.
+Those are the draws that Generator.choice, Generator.integers and
+Generator.random would make, called in that order for each block, as they
+turn raw words into values: a double is a word's top 53 bits over 2^53,
+integers(0, 2^k) is the top k bits of one 32-bit half (Lemire's method
+never rejects a power-of-two range), and random() < K reads
 word >> 11 < ceil(K * 2^53).  A P2 support string is computed from its draw
 a, an (n-1)-bit integer, as a << 1 | parity(a).
 
-The trials run in blocks of BLOCK, and one PCG64 cursor per segment of the
-stream (advanced once, in O(log T) steps) reads on from block to block, so
-the output is that of one pass over all trials, bit for bit.  BLOCK keeps
-every array of a block, 8 bytes a trial at most, below glibc's default
-128 KiB mmap threshold: at 2^15 trials the 256 KiB word arrays were mapped
-and unmapped, or the heap grown and trimmed, every block, at one minor page
-fault per 4 KiB page.  Memory is O(BLOCK) whatever the trial count: one step
-at n = 6 and epsilon = 0.2 traces 0.46 MiB at 10^6 trials and at 10^7 (68 MiB
-and 677 MiB in one pass), and takes 0.02 s and 0.2 s on a shared 2-core x86
-machine.  Label codes, patterns and outputs are held in the narrowest
-unsigned dtype that holds 2^n (uint8 up to n = 7).
+A call of at most BLOCK trials is one block: it reads the words of one pass
+over all its trials.  A longer call gives another sample of the same law,
+so a sample depends on BLOCK: retuning it changes which sample a seed
+gives, not its law.  BLOCK keeps every array of a block, 8 bytes a trial at
+most, below glibc's default 128 KiB mmap threshold, and a block frees its
+support words before it draws its verdict words: at 2^15 trials the 256 KiB
+word arrays were mapped and unmapped, or the heap grown and trimmed, every
+block, at one minor page fault per 4 KiB page.  Memory is O(BLOCK) whatever the trial
+count: one step at n = 6 and epsilon = 0.2 traces 0.39 MiB at 10^6 trials
+and at 10^7 (68 MiB and 677 MiB in one pass), and takes 0.02 s and 0.2 s on
+a shared 2-core x86 machine.  Label codes, patterns and outputs are held in
+the narrowest unsigned dtype that holds 2^n (uint8 up to n = 7).
 """
 from __future__ import annotations
 
@@ -93,33 +96,6 @@ def _draws_verdicts(keep: np.ndarray) -> bool:
     return bool(((keep > 0.0) & (keep < 1.0)).any())
 
 
-def _cursor(seed: np.random.SeedSequence, word: int) -> np.random.PCG64:
-    """A PCG64 that reads on through default_rng(seed)'s stream from word
-    `word`."""
-    cursor = np.random.PCG64(seed)
-    cursor.advance(word)
-    return cursor
-
-
-def _halves_reader(seed: np.random.SeedSequence, half: int):
-    """m -> the next m 32-bit halves of default_rng(seed)'s stream, from
-    half `half` on: word half // 2, low half first (little-endian on every
-    host).  A read that ends mid-word steps its cursor back one word, so
-    the next read opens on that word's high half."""
-    cursor = _cursor(seed, half // 2)
-    skip = half % 2
-
-    def read(m: int) -> np.ndarray:
-        nonlocal skip
-        words = cursor.random_raw((skip + m + 1) // 2)
-        halves = words.astype("<u8", copy=False).view("<u4")[skip:skip + m]
-        skip = (skip + m) % 2
-        if skip:
-            cursor.advance(-1)
-        return halves
-    return read
-
-
 def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
                    mode: DiscriminationMode, trials: int, seed: int) -> StepReport:
     """Empirical StepReport from `trials` sampled copy pairs.
@@ -141,8 +117,7 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     if n > MAX_QUBITS_FAST:
         raise ValueError(f"Monte Carlo is bounded at {MAX_QUBITS_FAST} qubits")
     step = StepKind(step)
-    trials = int(trials)  # a numpy integer would overflow the stream offsets
-    seed = np.random.SeedSequence(int(seed))
+    bits = np.random.default_rng(int(seed)).bit_generator
     full = (1 << n) - 1
 
     # Nonzero label codes rep * 2 + (sign == -1), in all_labels order, in the
@@ -152,14 +127,10 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     support = np.flatnonzero(flat)
     codes = support.astype(np.min_scalar_type(1 << n))
     labels = _label_reader(codes, flat[support])
-    # One cursor per segment of the stream, each read on block by block.
-    labels1, labels2 = _cursor(seed, 0).random_raw, _cursor(seed, trials).random_raw
-    halves1, halves2 = _halves_reader(seed, 4 * trials), _halves_reader(seed, 5 * trials)
 
     keep = mode.keep_weights(n)
     noisy = _draws_verdicts(keep)
     if noisy:
-        verdicts = _cursor(seed, 3 * trials).random_raw
         # rng.random() < K reads (word >> 11) * 2^-53 < K; K * 2^53 is exact,
         # and an integer lies below it just when it lies below its ceiling,
         # at most 2^53.
@@ -174,14 +145,16 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
         plus 2^n where rejected) and their spurious keeps.  Its arrays are
         freed when it returns, before the next block draws."""
         at = index[:m]
-        lab1, lab2 = labels(labels1(m), at), labels(labels2(m), at)
+        lab1 = labels(bits.random_raw(m), at)
+        lab2 = labels(bits.random_raw(m), at)
         # The correction cancels the sign that copy 2's outcome leaves, so the
         # output label does not depend on that outcome, which is not drawn.
         z = lab1 ^ lab2
         # A power-of-two integers(0, 2^k) draw is the half's top k bits, and
-        # only the two copies' XOR enters z.
-        both = halves1(m)
-        both ^= halves2(m)
+        # only the two copies' XOR enters z: copy 1's m halves, then copy 2's.
+        halves = bits.random_raw(m).astype("<u8", copy=False).view("<u4")
+        both = halves[:m]
+        both ^= halves[m:]
         if step is StepKind.P1:
             # Support of (e, s) is {e, ~e}, each with probability 1/2; output (e1, s1 s2).
             both >>= 31
@@ -202,6 +175,7 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
             z ^= both
             out = lab2 & (full ^ 1)
         out ^= lab1
+        del both, halves   # freed before the verdict words are drawn
 
         spurious = 0
         if noisy:
@@ -209,7 +183,7 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
             # Each threshold K[z] * 2^53 lands on the index it was read from:
             # numpy buffers an `out` only under mode="raise".
             limit = below.take(at, out=at.view(np.uint64), mode="clip")
-            u = verdicts(m)
+            u = bits.random_raw(m)
             u >>= 11
             rejected = u >= limit
             # kept trials whose true pattern is neither all even nor all odd

@@ -25,11 +25,12 @@ def read_csv(path):
 
 
 def run_module(*argv):
-    """python -m ghzpurify in a fresh process, on this checkout's package."""
+    """python -m ghzpurify in a fresh process, on this checkout's package,
+    with warnings raised as errors, as in-process tests raise them."""
     src = str(Path(ghzpurify.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-m", "ghzpurify", *argv],
+    return subprocess.run([sys.executable, "-W", "error", "-m", "ghzpurify", *argv],
                           env=env, capture_output=True, text=True, timeout=120)
 
 

@@ -16,6 +16,7 @@ def test_demo_runs(script):
     src = str(Path(ghzpurify.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, str(script)], env=env,
+    # -W error: a warning fails the demo, as it fails an in-process test
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

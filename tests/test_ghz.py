@@ -277,15 +277,6 @@ class TestHadamard:
         H = hadamard_matrix(4)
         assert_allclose(H @ (H @ v), v, atol=1e-12)
 
-    def test_sign_groups_have_disjoint_weight_parity_support(self):
-        for n in (2, 3, 4, 5):
-            for label in all_labels(n):
-                rotated = hadamard_matrix(n) @ ghz_label_to_state(label, n)
-                want_parity = 0 if label.sign == +1 else 1
-                for x in range(1 << n):
-                    if bin(x).count("1") % 2 != want_parity:
-                        assert abs(rotated[x]) < 1e-12
-
     def test_cached_matrix_is_read_only(self):
         H = hadamard_matrix(3)
         assert H.dtype == complex and H.shape == (8, 8)
