@@ -245,7 +245,7 @@ class TestDiagonalExtract:
         # w(000, -) = 0.5 - 0.9 = -0.4: not a state, so it reads as no ensemble;
         # nor does -I/8, whose weights are all negative, nor an operator whose
         # weights sum to 0: the zero operator, and w(000, +) = w(000, -) = 1/4
-        # against w(001, +) = w(001, -) = -1/4 (0/0 and +-1/0 warn nothing)
+        # against w(001, +) = w(001, -) = -1/4, with no RuntimeWarning
         rho = np.zeros((8, 8))
         rho[0, 0] = rho[7, 7] = 0.5
         rho[0, 7] = rho[7, 0] = 0.9
