@@ -243,16 +243,23 @@ class TestDiagonalExtract:
 
     def test_a_negative_weight_raises_as_in_the_constructor(self):
         # w(000, -) = 0.5 - 0.9 = -0.4: not a state, so it reads as no ensemble;
-        # nor does -I/8, whose weights are all negative, nor an operator whose
-        # weights sum to 0: the zero operator, and w(000, +) = w(000, -) = 1/4
-        # against w(001, +) = w(001, -) = -1/4, with no RuntimeWarning
+        # nor does -I/8, whose weights are all negative
         rho = np.zeros((8, 8))
         rho[0, 0] = rho[7, 7] = 0.5
         rho[0, 7] = rho[7, 0] = 0.9
-        for r in (rho, -np.eye(8) / 8, np.zeros((8, 8)),
-                  np.diag([1.0, -1.0, 0, 0, 0, 0, -1.0, 1.0]) / 4):
+        for r in (rho, -np.eye(8) / 8):
             with pytest.raises(ValueError, match="weights must be >= -1e-10"):
                 ghz_diagonal_extract(r)
+
+    # The zero operator, and w(000, +) = w(000, -) = 1/4 against
+    # w(001, +) = w(001, -) = -1/4: weights that sum to 0 raise by the same
+    # rule, with no 0/0 RuntimeWarning.
+    @pytest.mark.parametrize("rho", [np.zeros((8, 8)),
+                                     np.diag([1.0, -1.0, 0, 0, 0, 0, -1.0, 1.0]) / 4],
+                             ids=["zero", "mixed_signs"])
+    def test_a_zero_weight_total_raises_as_in_the_constructor(self, rho):
+        with pytest.raises(ValueError, match="weights must be >= -1e-10"):
+            ghz_diagonal_extract(rho)
 
     def test_small_residual_is_resolved(self):
         # A 1e-11 perturbation of a GHZ-diagonal state: the residual is read

@@ -456,6 +456,15 @@ class TestGeneratorWordStream:
         assert np.array_equal(want, halves >> (32 - k))
 
     @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [0, 1, 2_003, BLOCK])
+    def test_a_read_after_k_words_reads_the_stream_from_word_k(self, seed, k):
+        # mc reads its segments in turn, block by block, from one generator
+        _, bits = self.streams(seed)
+        bits.random_raw(k)
+        want = np.random.default_rng(seed).bit_generator.random_raw(k + 1_001)[k:]
+        assert np.array_equal(bits.random_raw(1_001), want)
+
+    @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("keep", [0.0, 1e-300, 2.0 ** -53, 0.05, 0.2, 0.49 ** 3,
                                       np.nextafter(0.5, 0.0), 0.51 ** 2 + 0.49 ** 2,
                                       np.nextafter(1.0, 0.0), 1.0])
