@@ -258,8 +258,10 @@ def ghz_diagonal_extract(rho: np.ndarray) -> tuple[GhzDiagonalEnsemble, float]:
 
 
 def fidelity_to_target(rho: np.ndarray) -> PerRow:
-    """<phi+| rho |phi+>: the four corner entries, as the extract reads them;
-    an array with one per operator of a stack."""
+    """<phi+| rho |phi+>: the four corner entries, as the extract reads them,
+    capped at 1 as the keep is (NaN passes through); an array with one per
+    operator of a stack."""
     num_qubits(rho, stack=True)
-    f = 0.5 * (rho[..., 0, 0] + rho[..., -1, -1] + rho[..., 0, -1] + rho[..., -1, 0]).real
+    f = np.minimum(0.5 * (rho[..., 0, 0] + rho[..., -1, -1]
+                          + rho[..., 0, -1] + rho[..., -1, 0]).real, 1.0)
     return float(f) if rho.ndim == 2 else f

@@ -39,7 +39,8 @@ class GhzLabel:
 
 
 def complement(bits: str) -> str:
-    return "".join("1" if c == "0" else "0" for c in bits)
+    """Swap 0 and 1; any other character stays, for GhzLabel to reject."""
+    return bits.translate(str.maketrans("01", "10"))
 
 
 def canonical_label(bits: str, sign: int) -> GhzLabel:
@@ -48,7 +49,7 @@ def canonical_label(bits: str, sign: int) -> GhzLabel:
     If bits starts with 1 the complement representative is used; this changes
     the state only by a global phase (equal to sign).
     """
-    if bits[0] == "1":
+    if bits[:1] == "1":
         bits = complement(bits)
     return GhzLabel(bits, sign)
 

@@ -6,16 +6,16 @@ string).  The true parity pattern z = x xor y has one bit per party, set when
 that party's check is odd.  Homodyne misclassification flips each party's
 verdict with probability epsilon, so the trial is kept with the chance K(z)
 of `DiscriminationMode.keep_weights`: that z reads all even, or all odd
-under even-plus-odd (six-mode PBS ignores epsilon).  One uniform per trial
-decides it: kept just when rng.random() < K(z).  Where every K is 0 or 1
-(epsilon = 0, or six-mode) the verdict is read off z and nothing is drawn.
+under even-plus-odd.  One uniform per trial decides it: kept just when
+rng.random() < K(z).  At epsilon = 0 every K is 0 or 1, and the verdict is
+read off z with nothing drawn.
 
 The draws are fixed in kind and order, so a seed fixes the output.  They are
 read in order from one generator, default_rng(seed)'s PCG64, block by block
 of BLOCK trials.  A block of m trials reads its next words: m for copy 1's
 labels and m for copy 2's, as Generator.choice draws them; m support words,
 read as 2m 32-bit halves, low half first, copy 1's draws the first m halves
-and copy 2's the next m; and m verdict words, only where some 0 < K < 1.
+and copy 2's the next m; and m verdict words, only where epsilon > 0.
 Those are the draws that Generator.choice, Generator.integers and
 Generator.random would make, called in that order for each block, as they
 turn raw words into values: a double is a word's top 53 bits over 2^53,
@@ -89,13 +89,6 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _draws_verdicts(keep: np.ndarray) -> bool:
-    """Whether a step draws a verdict per trial: some true pattern is kept
-    by chance, 0 < K < 1.  Otherwise every K is 0 or 1, and a trial's
-    verdict is read off its pattern without a draw."""
-    return bool(((keep > 0.0) & (keep < 1.0)).any())
-
-
 def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
                    mode: DiscriminationMode, trials: int, seed: int) -> StepReport:
     """Empirical StepReport from `trials` sampled copy pairs.
@@ -129,7 +122,7 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     labels = _label_reader(codes, flat[support])
 
     keep = mode.keep_weights(n)
-    noisy = _draws_verdicts(keep)
+    noisy = mode.misclassification_probability > 0.0
     if noisy:
         # rng.random() < K reads (word >> 11) * 2^-53 < K; K * 2^53 is exact,
         # and an integer lies below it just when it lies below its ceiling,

@@ -94,7 +94,11 @@ def classify_phase(phase: float, theta: float) -> ShiftClass:
 
 @dataclass(frozen=True)
 class DiscriminationMode:
-    """How X homodyne verdicts are read out and which branches are kept."""
+    """How X homodyne verdicts are read out and which branches are kept.
+
+    Each party's homodyne verdict is misread with probability epsilon.
+    Six-mode PBS post-selects on photon number, which no homodyne verdict
+    misreads, so it takes any epsilon in [0, 0.5) and holds epsilon = 0."""
 
     kind: ModeKind
     misclassification_probability: float = 0.0
@@ -105,6 +109,8 @@ class DiscriminationMode:
         object.__setattr__(self, "kind", ModeKind(self.kind))
         if not 0.0 <= self.misclassification_probability < 0.5:
             raise ValueError("misclassification probability must be in [0, 0.5)")
+        if self.kind is ModeKind.SIX_MODE_PBS:
+            object.__setattr__(self, "misclassification_probability", 0.0)
         if not 0.0 < self.theta <= math.pi:
             raise ValueError(f"theta must be in (0, pi], got {self.theta}")
         if self.kind is ModeKind.EVEN_PLUS_ODD and abs(self.theta - math.pi) > PHASE_ATOL:
@@ -129,12 +135,8 @@ class DiscriminationMode:
         with probability epsilon, so z reads all even with probability
         q(z) = epsilon^|z| (1 - epsilon)^(n-|z|), taken as a product over the
         parties in order, and all odd with q(~z).  Even-only keeps K = q(z);
-        even-plus-odd keeps K = q(z) + q(~z), capped at 1 against round-off.
-        Six-mode PBS post-selects on photon number, which no homodyne
-        verdict misreads: it ignores epsilon, and its K is [z = 0]."""
+        even-plus-odd keeps K = q(z) + q(~z), capped at 1 against round-off."""
         eps = self.misclassification_probability
-        if self.kind is ModeKind.SIX_MODE_PBS:
-            eps = 0.0
         bits = np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None] & 1
         q = np.ones(1 << n)
         for factor in np.where(bits, eps, 1.0 - eps):   # party 0 first

@@ -91,6 +91,25 @@ class TestRun:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["converged"] is False
 
+    def test_six_mode_runs_at_any_epsilon_as_at_zero(self, tmp_path):
+        args = ["run", "--x", "0.8", "--n", "3", "--schedule", "P1,P2",
+                "--threshold", "0.99", "--mode", "six-mode-pbs"]
+        assert main(args + ["--epsilon", "0.2", "--outdir", str(tmp_path / "a")]) == EXIT_OK
+        assert main(args + ["--epsilon", "0", "--outdir", str(tmp_path / "b")]) == EXIT_OK
+        assert (tmp_path / "a/trace.csv").read_bytes() == \
+            (tmp_path / "b/trace.csv").read_bytes()
+        # the summary records the epsilon the config gave
+        summary = json.loads((tmp_path / "a/summary.json").read_text())
+        assert summary["config"]["epsilon"] == 0.2
+
+    def test_dense_fidelity_reads_at_most_one(self, tmp_path):
+        # the dense P2 of the target rounds its corner entries past one
+        code = main(["run", "--F", "0", "--n", "3", "--schedule", "P2", "--rounds", "3",
+                     "--engine", "exact", "--outdir", str(tmp_path)])
+        assert code == EXIT_OK
+        assert [row[2] for row in read_csv(tmp_path / "trace.csv")[1:]] == ["0", "1", "1", "1"]
+        assert json.loads((tmp_path / "summary.json").read_text())["final_fidelity"] == 1.0
+
     def test_env_var_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GHZPURIFY_OUTDIR", str(tmp_path / "env"))
         code = main(["run", "--F", "1.0", "--n", "3", "--schedule", "P1",
@@ -173,6 +192,9 @@ class TestConfigErrors:
                                  "error_sign": -1},
                      "schedule": ["P1"], "stop": {"rounds": 2},
                      "grid": {"param": "F", "values": [0.7]}}),
+        (["run", "--mode", "even-plus-odd", "--epsilon", "0.1"], None),
+        (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": "1x0"}}),
+        (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": "1 1"}}),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"

@@ -74,8 +74,9 @@ def test_keep_is_a_probability_and_the_readout_an_ensemble(name, step, data):
         out, keep = eng.step(state, step, mode)
         fid = eng.fidelity(out)
         for row, row_keep, row_fid in zip(out, keep, fid):
-            # a keep of exactly one that rounds past it is capped at one
-            assert 0.0 < row_keep <= 1.0
+            # a keep or fidelity of exactly one that rounds past it is
+            # capped at one
+            assert 0.0 < row_keep <= 1.0 and row_fid <= 1.0
             ens = eng.readout(n, row)   # the ensemble's checks run here
             assert abs(row_fid - ens.W[0, 0]) <= FIDELITY_TOL
 
@@ -91,6 +92,7 @@ def test_target_is_a_fixed_point(name, step):
             out, _ = eng.step(eng.encode(target), step, mode)
             assert np.abs(eng.readout(n, out).W - target).max() <= FIDELITY_TOL
             assert abs(eng.fidelity(out) - 1.0) <= FIDELITY_TOL
+            assert eng.fidelity(out) <= 1.0
 
 
 @EACH_STEP
@@ -143,13 +145,17 @@ def test_a_step_by_name_runs_that_step(name, data):
 @EACH_ENGINE
 def test_noisy_readout_raises(name, step):
     """Every entry models error-free parity readout, so a misclassification
-    probability is an error, not ignored."""
+    probability is an error, not ignored.  Six-mode PBS reads no homodyne
+    verdict, so it runs at any epsilon as at epsilon = 0."""
     eng = ENGINES[name]
     n = eng.max_qubits
     state = eng.encode(np.full((2, 1 << (n - 1)), 1.0 / (1 << n)))
     for kind in (ModeKind.EVEN_ONLY, ModeKind.EVEN_PLUS_ODD):
         with pytest.raises(ValueError, match="epsilon"):
             eng.step(state, step, DiscriminationMode(kind, 0.2))
+    six, six_keep = eng.step(state, step, DiscriminationMode(ModeKind.SIX_MODE_PBS, 0.2))
+    ideal, ideal_keep = eng.step(state, step, SIX_MODE)
+    assert same_bits(six, ideal) and same_bits(six_keep, ideal_keep)
 
 
 @pytest.mark.parametrize("pair", list(itertools.combinations(ENGINES, 2)), ids="-".join)

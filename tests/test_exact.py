@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -166,13 +168,17 @@ class TestSchurAgainstBruteForce:
 class TestIdealReadout:
     """The brute-force oracle models error-free parity readout, as the
     engines do, so a misclassification probability is an error, not
-    ignored."""
+    ignored.  Six-mode PBS runs at any epsilon as at epsilon = 0."""
 
     @pytest.mark.parametrize("step", [StepKind.P1, StepKind.P2])
     def test_epsilon_is_rejected(self, step):
         rho = ensemble_to_density(build_werner(0.8, 3))
         with pytest.raises(ValueError, match="epsilon"):
             bruteforce_step(rho, step, DiscriminationMode.even_only(0.2))
+        six, six_keep = bruteforce_step(rho, step, DiscriminationMode("six-mode-pbs", 0.2))
+        want, want_keep = bruteforce_step(rho, step, DiscriminationMode.six_mode_pbs())
+        assert six_keep == want_keep
+        assert np.array_equal(six, want)
 
 
 class TestStepByName:
@@ -218,6 +224,10 @@ class TestP2Exact:
         out, keep = p2_exact(projector(phi_plus()), EVEN_ONLY)
         assert_allclose(out, projector(phi_plus()), atol=1e-12)
         assert keep == pytest.approx(0.25, abs=1e-12)
+        # the corner entries sum past 2 by round-off; the fidelity is capped
+        # at 1, and a NaN still reads NaN
+        assert fidelity_to_target(out) == 1.0
+        assert math.isnan(fidelity_to_target(np.full_like(out, np.nan)))
 
 
 class TestDiagonalExtract:

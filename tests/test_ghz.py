@@ -38,6 +38,12 @@ class TestLabels:
         assert canonical_label("100", +1) == GhzLabel("011", +1)
         assert canonical_label("011", -1) == GhzLabel("011", -1)
 
+    def test_canonicalization_rejects_what_is_not_bits(self):
+        # complement swaps only 0 and 1, so GhzLabel sees the other characters
+        for bits in ("1x0", "1 1", "x10", ""):
+            with pytest.raises(ValueError, match="bit string"):
+                canonical_label(bits, +1)
+
     def test_label_count(self):
         for n in (2, 3, 4, 5):
             labels = all_labels(n)

@@ -193,12 +193,9 @@ def kept_chance(n, mode):
     """K[z] for each true parity pattern z, by its own per-party product:
     the chance that every party reads even, each party (qubit k, the bit of
     weight 2^(n-1-k)) misreading with probability epsilon, party 0 first;
-    under even-plus-odd, plus the chance that every party reads odd.
-    Six-mode PBS reads no homodyne verdict, so it misreads nothing."""
+    under even-plus-odd, plus the chance that every party reads odd."""
     full = (1 << n) - 1
     eps = mode.misclassification_probability
-    if mode.kind is ModeKind.SIX_MODE_PBS:
-        eps = 0.0
 
     def all_even(pattern):
         p = 1.0
@@ -371,8 +368,8 @@ def within_law(got, p, trials):
 
 
 class TestEnumeratedLaw:
-    """The law of a step at epsilon > 0 (and of six-mode PBS, which ignores
-    epsilon), enumerated without a sampler, against mc_sample_step."""
+    """The law of a step at epsilon > 0, enumerated without a sampler,
+    against mc_sample_step."""
 
     @pytest.mark.parametrize("eps", LAW_EPSILONS)
     @pytest.mark.parametrize("kind", list(ModeKind), ids=lambda kind: kind.value)

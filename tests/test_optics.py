@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzpurify.mc import _draws_verdicts
 from ghzpurify.optics import (DiscriminationMode, KerrInteraction, ModeKind,
                               ProbeBeam, ShiftClass, Verdict, classify_phase,
                               discriminate, kerr_evolve, qnd_parity_shift,
@@ -113,8 +112,11 @@ class TestDiscriminate:
         assert Verdict.ODD in runs[0]  # some flips at epsilon = 0.3
 
     def test_epsilon_bounds(self):
-        with pytest.raises(ValueError):
-            DiscriminationMode.even_only(epsilon=0.5)
+        # six-mode PBS holds epsilon = 0, but only an epsilon in [0, 0.5)
+        for kind in ModeKind:
+            for eps in (-0.1, 0.5, math.nan):
+                with pytest.raises(ValueError, match="misclassification"):
+                    DiscriminationMode(kind, eps)
 
 
 class TestSixMode:
@@ -141,6 +143,11 @@ class TestSixMode:
                                                    ("H", "V")[int(b)])), mode)
                     is Verdict.EVEN for a, b in zip(s1, s2))
                 assert six_mode_keep((s1, s2)) == all_even
+
+    @given(eps=st.floats(0.0, 0.5, exclude_max=True))
+    def test_any_epsilon_gives_the_one_six_mode(self, eps):
+        # photon counting reads no homodyne verdict, so it misreads nothing
+        assert DiscriminationMode(ModeKind.SIX_MODE_PBS, eps) == DiscriminationMode.six_mode_pbs()
 
 
 class TestKeepWeights:
@@ -170,6 +177,8 @@ class TestKeepWeights:
         # q(z), the chance that z reads all even, is a distribution over z
         q = DiscriminationMode(ModeKind.EVEN_ONLY, eps).keep_weights(n)
         assert abs(q.sum() - 1.0) <= 1e-12
-        # the Monte Carlo draws verdicts just where the readout can misread
+        # the Monte Carlo draws verdicts at epsilon > 0, just where the
+        # readout can misread
         noisy = bool(((0.0 < keep) & (keep < 1.0)).any())
-        assert _draws_verdicts(keep) == noisy == (eps > 0.0 and kind is not ModeKind.SIX_MODE_PBS)
+        assert (mode.misclassification_probability > 0.0) == noisy == (
+            eps > 0.0 and kind is not ModeKind.SIX_MODE_PBS)
