@@ -195,6 +195,7 @@ class TestConfigErrors:
         (["run", "--mode", "even-plus-odd", "--epsilon", "0.1"], None),
         (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": "1x0"}}),
         (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": "1 1"}}),
+        (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": ""}}),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, config):
         blocker = tmp_path / "a-file"

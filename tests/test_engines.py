@@ -91,8 +91,7 @@ def test_target_is_a_fixed_point(name, step):
         for mode in MODES:
             out, _ = eng.step(eng.encode(target), step, mode)
             assert np.abs(eng.readout(n, out).W - target).max() <= FIDELITY_TOL
-            assert abs(eng.fidelity(out) - 1.0) <= FIDELITY_TOL
-            assert eng.fidelity(out) <= 1.0
+            assert 1.0 - FIDELITY_TOL <= eng.fidelity(out) <= 1.0
 
 
 @EACH_STEP

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -227,7 +225,7 @@ class TestP2Exact:
         # the corner entries sum past 2 by round-off; the fidelity is capped
         # at 1, and a NaN still reads NaN
         assert fidelity_to_target(out) == 1.0
-        assert math.isnan(fidelity_to_target(np.full_like(out, np.nan)))
+        assert np.isnan(fidelity_to_target(np.full_like(out, np.nan)))
 
 
 class TestDiagonalExtract:
