@@ -12,7 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .ghz import (MAX_QUBITS_EXACT, GhzDiagonalEnsemble, GhzLabel, build_binary_ensemble,
-                  build_bitflip_ensemble, build_werner, canonical_label)
+                  build_bitflip_ensemble, build_werner, canonical_label, is_real)
 from .optics import DiscriminationMode, ModeKind
 from .purify import check_ideal_readout
 from .schedule import ENGINES, Schedule, ScheduleTrace, engine_for, run_schedule, sweep
@@ -62,15 +62,9 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _is_number(value) -> bool:
-    """Whether JSON wrote a config value as a number: a string or a boolean
-    is not one."""
-    return type(value) in (int, float)
-
-
 def _number(value) -> float:
     """A config value that JSON wrote as a number, as a float."""
-    if not _is_number(value):
+    if not is_real(value):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -302,7 +296,7 @@ def _sweep_grid(args, config: dict) -> tuple[str, list]:
         except ValueError:
             raise ConfigError(f"cannot parse grid {args.grid!r}")
     if not (isinstance(values, list) and values
-            and all(map(_is_number, values))):
+            and all(map(is_real, values))):
         raise ConfigError("sweep needs a nonempty grid of numbers "
                           "({\"param\": \"x\"|\"F\", \"values\": [...]})")
     if len(values) > MAX_GRID_POINTS:

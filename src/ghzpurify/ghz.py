@@ -8,6 +8,7 @@ qubit-1-first and interpreted as big-endian integer indices.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
@@ -18,6 +19,33 @@ MAX_QUBITS_FAST = 6
 MAX_QUBITS_EXACT = 5
 
 
+def is_integer(x) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """A Python or numpy real number, and not a bool; an int or a float
+    skips the slower `numbers.Real` test."""
+    return type(x) in (int, float) or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def nonnegative(W: np.ndarray) -> np.ndarray:
+    """Weights W (a row or a stack) once none is NaN or below -1e-10: W
+    itself, or a fresh array where round-off negatives and -0.0 are +0.0."""
+    lo = W.min()   # NaN if any weight is NaN, and NaN fails the check
+    if not lo >= -1e-10:
+        raise ValueError(f"weights must be >= -1e-10 and not NaN, got {lo}")
+    return np.where(W > 0.0, W, 0.0) if lo <= 0.0 else W
+
+
+def _bits(rep):
+    """rep, once it is a nonempty string of 0s and 1s."""
+    if not isinstance(rep, str) or not rep or rep.strip("01"):
+        raise ValueError(f"rep must be a nonempty bit string, got {rep!r}")
+    return rep
+
+
 @dataclass(frozen=True)
 class GhzLabel:
     """Canonical label of one GHZ basis state: (|rep> + sign|~rep>)/sqrt(2)."""
@@ -26,11 +54,9 @@ class GhzLabel:
     sign: int
 
     def __post_init__(self):
-        if not self.rep or any(c not in "01" for c in self.rep):
-            raise ValueError(f"rep must be a nonempty bit string, got {self.rep!r}")
-        if self.rep[0] != "0":
+        if _bits(self.rep)[0] != "0":
             raise ValueError(f"canonical rep must start with 0, got {self.rep!r}")
-        if self.sign not in (1, -1):
+        if not is_real(self.sign) or self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
 
     @property
@@ -39,7 +65,7 @@ class GhzLabel:
 
 
 def complement(bits: str) -> str:
-    """Swap 0 and 1; any other character stays, for GhzLabel to reject."""
+    """Swap 0 and 1."""
     return bits.translate(str.maketrans("01", "10"))
 
 
@@ -47,9 +73,10 @@ def canonical_label(bits: str, sign: int) -> GhzLabel:
     """Label for the state (|bits> + sign|~bits>)/sqrt(2).
 
     If bits starts with 1 the complement representative is used; this changes
-    the state only by a global phase (equal to sign).
+    the state only by a global phase (equal to sign).  Bits that are not a
+    bit string raise before that, so the error names them as given.
     """
-    if bits[:1] == "1":
+    if _bits(bits)[0] == "1":
         bits = complement(bits)
     return GhzLabel(bits, sign)
 
@@ -101,12 +128,10 @@ class GhzDiagonalEnsemble:
             W = np.asarray(weights, dtype=float)
             if W.shape != shape:
                 raise ValueError(f"weight array has shape {W.shape}, expected {shape}")
-        lo = W.min()   # NaN if any weight is NaN, and NaN fails the check
-        if not lo >= -1e-10:
-            raise ValueError(f"weights must be >= -1e-10 and not NaN, got {lo}")
         # A fresh array in the input's memory order either way, so a caller's
-        # array is never frozen or aliased; -0.0 and small negatives become +0.0.
-        W = np.where(W > 0.0, W, 0.0) if lo <= 0.0 else W.copy(order="K")
+        # array is never frozen or aliased.
+        clean = nonnegative(W)
+        W = W.copy(order="K") if clean is W else clean
         total = W.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total}, expected 1")
@@ -177,6 +202,8 @@ def build_bitflip_ensemble(weights, n: int) -> GhzDiagonalEnsemble:
     weights = list(weights)
     if len(weights) != n + 1:
         raise ValueError(f"need {n + 1} weights for n={n}, got {len(weights)}")
+    if not all(map(is_real, weights)):
+        raise ValueError(f"weights must be numbers, got {weights!r}")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
     W = np.zeros((2, 1 << (n - 1)))

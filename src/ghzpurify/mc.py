@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ghz import MAX_QUBITS_FAST, GhzDiagonalEnsemble
+from .ghz import MAX_QUBITS_FAST, GhzDiagonalEnsemble, is_integer
 from .optics import DiscriminationMode
 from .purify import StepKind, StepReport
 
@@ -84,11 +84,6 @@ def _label_reader(support: np.ndarray, probs: np.ndarray):
     return labels
 
 
-def _is_integer(x) -> bool:
-    """A Python or numpy integer, and not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
                    mode: DiscriminationMode, trials: int, seed: int) -> StepReport:
     """Empirical StepReport from `trials` sampled copy pairs.
@@ -98,12 +93,12 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     genuine keep (P1: (e1, s1 s2), P2: (e1 xor e2, s1)).  The share of such
     trials is reported under the branch_stats key ("spurious", "*").
     """
-    if not _is_integer(trials):
+    if not is_integer(trials):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     # None would seed from OS entropy, and a bool would run as seed 0 or 1.
-    if not _is_integer(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     n = ens.n_qubits
     # the draws are checked against the reference sampler up to this bound

@@ -12,6 +12,8 @@ from enum import Enum
 
 import numpy as np
 
+from .ghz import is_real
+
 PHASE_ATOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
@@ -107,11 +109,12 @@ class DiscriminationMode:
     def __post_init__(self):
         # a kind given by name ("even-plus-odd") runs that mode; an unknown name raises
         object.__setattr__(self, "kind", ModeKind(self.kind))
-        if not 0.0 <= self.misclassification_probability < 0.5:
+        eps = self.misclassification_probability
+        if not (is_real(eps) and 0.0 <= eps < 0.5):
             raise ValueError("misclassification probability must be in [0, 0.5)")
         if self.kind is ModeKind.SIX_MODE_PBS:
             object.__setattr__(self, "misclassification_probability", 0.0)
-        if not 0.0 < self.theta <= math.pi:
+        if not (is_real(self.theta) and 0.0 < self.theta <= math.pi):
             raise ValueError(f"theta must be in (0, pi], got {self.theta}")
         if self.kind is ModeKind.EVEN_PLUS_ODD and abs(self.theta - math.pi) > PHASE_ATOL:
             raise ValueError("even-plus-odd discrimination requires theta = pi")

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ghz import GhzDiagonalEnsemble, fwht
+from .ghz import GhzDiagonalEnsemble, fwht, nonnegative
 from .optics import DiscriminationMode, ModeKind
 
 MIN_KEEP = 1e-300
@@ -77,10 +77,9 @@ def check_ideal_readout(mode: DiscriminationMode):
 def _finish(raw: np.ndarray, scale: float):
     """raw holds the kept mass of each output label divided by scale; it is
     normalised in place by the total that gives the keep probability, one
-    per row of a stack.  Returns (W', keep) with W' checked as the ensemble
-    constructor checks it: a keep below MIN_KEEP or NaN raises, and so does
-    a weight below -1e-10; round-off negatives and -0.0 become +0.0.  Each
-    row sums to one, as it is divided by its own total.  The keep is capped
+    per row of a stack.  Returns (W', keep), W' checked by `nonnegative` as
+    the ensemble constructor checks it; a keep below MIN_KEEP or NaN raises.
+    Each row sums to one, as it is divided by its own total.  The keep is capped
     at 1: a total that rounds past it (weights that sum to an ulp above 1,
     or (w+^2 + w-^2) + 2 w+ w- past (w+ + w-)^2) is still a probability."""
     if raw.ndim == 2:
@@ -94,11 +93,8 @@ def _finish(raw: np.ndarray, scale: float):
         raise ValueError("keep probability underflowed or is NaN; "
                          "input is not purifiable")
     raw /= total
-    lo = raw.min()
-    if not lo >= -1e-10:
-        raise ValueError(f"weights must be >= -1e-10 and not NaN, got {lo}")
     keep = min(keep, 1.0) if raw.ndim == 2 else np.minimum(keep, 1.0, out=keep)
-    return (np.where(raw > 0.0, raw, 0.0) if lo <= 0.0 else raw), keep
+    return nonnegative(raw), keep
 
 
 def p1_map(W: np.ndarray, mode: DiscriminationMode):

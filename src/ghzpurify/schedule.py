@@ -3,13 +3,12 @@ and parameter sweeps, on any engine of the `ENGINES` table."""
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import exact, ghz
 from .ghz import (GhzDiagonalEnsemble, binary_weights, canonical_label,
-                  ensemble_to_density, werner_weights)
+                  ensemble_to_density, is_integer, is_real, werner_weights)
 from .optics import DiscriminationMode
 from .purify import StepKind, step_map
 
@@ -54,17 +53,14 @@ class Schedule:
             raise ValueError(f"mode must be a DiscriminationMode, got {self.mode!r}")
         if (self.stop_rounds is None) == (self.stop_threshold is None):
             raise ValueError("specify exactly one of stop_rounds, stop_threshold")
-        # numbers.Integral and numbers.Real take numpy scalars; bool is excluded
         if self.stop_rounds is not None:
-            if (not isinstance(self.stop_rounds, numbers.Integral)
-                    or isinstance(self.stop_rounds, bool)):
+            if not is_integer(self.stop_rounds):
                 raise ValueError(f"stop_rounds must be an integer, got {self.stop_rounds!r}")
             object.__setattr__(self, "stop_rounds", int(self.stop_rounds))
             if not 0 <= self.stop_rounds <= MAX_ROUNDS:
                 raise ValueError(f"stop_rounds must lie in [0, {MAX_ROUNDS}]")
         if self.stop_threshold is not None:
-            if (not isinstance(self.stop_threshold, numbers.Real)
-                    or isinstance(self.stop_threshold, bool)):
+            if not is_real(self.stop_threshold):
                 raise ValueError(f"stop_threshold must be a number, got {self.stop_threshold!r}")
             if not 0.5 < self.stop_threshold <= 1.0:
                 raise ValueError("stop_threshold must lie in (1/2, 1]")
@@ -118,11 +114,11 @@ def _replay(records: list, period: int, end: int):
 
 def engine_for(engine: str, n: int) -> Engine:
     """The `ENGINES` entry named `engine`, once n is an integer within its
-    bounds (a numpy integer is one; a bool fails the lower bound)."""
+    bounds."""
     if not isinstance(engine, str) or engine not in ENGINES:
         raise ValueError(f"engine must be one of {sorted(ENGINES)}, got {engine!r}")
     eng = ENGINES[engine]
-    if not (isinstance(n, numbers.Integral) and 2 <= n <= eng.max_qubits):
+    if not (is_integer(n) and 2 <= n <= eng.max_qubits):
         raise ValueError(f"{engine} engine is bounded at {eng.max_qubits} qubits "
                          f"and takes an integer n >= 2, got {n!r}")
     return eng

@@ -212,6 +212,17 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("rep", ["1x0", "1 1", 101])
+    def test_bad_error_rep_is_named_as_written(self, tmp_path, capsys, rep):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"initial": {"type": "binary", "F": 0.8,
+                                                "error_rep": rep}}))
+        code = main(["run", "--config", str(path), "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("config error: field 'initial': rep must be a nonempty "
+                       f"bit string, got {rep!r}\n")
+
     @pytest.mark.parametrize("content", [
         b"\xff\xfe\x00bad",                # not UTF-8
         b"[" * 100_000,                    # nested past the recursion limit

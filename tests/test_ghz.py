@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,8 +9,8 @@ from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel, all_labels,
                            build_bitflip_ensemble, build_werner,
                            canonical_label, complement, ensemble_fidelity,
                            ensemble_to_density, fwht, ghz_label_to_state,
-                           hadamard_matrix, random_ghz_diagonal, target_label,
-                           werner_weights)
+                           hadamard_matrix, is_integer, is_real, nonnegative,
+                           random_ghz_diagonal, target_label, werner_weights)
 from ghzpurify.mc import mc_sample_step
 from ghzpurify.optics import DiscriminationMode
 from ghzpurify.purify import StepKind
@@ -31,18 +33,20 @@ class TestLabels:
             GhzLabel("100", +1)
 
     def test_rejects_bad_sign(self):
-        with pytest.raises(ValueError):
-            GhzLabel("000", 0)
+        for sign in (0, True, False):
+            with pytest.raises(ValueError, match="sign"):
+                GhzLabel("000", sign)
 
     def test_canonicalization_flips_leading_one(self):
         assert canonical_label("100", +1) == GhzLabel("011", +1)
         assert canonical_label("011", -1) == GhzLabel("011", -1)
 
     def test_canonicalization_rejects_what_is_not_bits(self):
-        # complement swaps only 0 and 1, so GhzLabel sees the other characters
-        for bits in ("1x0", "1 1", "x10", ""):
-            with pytest.raises(ValueError, match="bit string"):
+        # the bits are checked before any complement, so the error names them
+        for bits in ("1x0", "1 1", "x10", "", 101, None):
+            with pytest.raises(ValueError, match="bit string") as err:
                 canonical_label(bits, +1)
+            assert f"got {bits!r}" in str(err.value)
 
     def test_label_count(self):
         for n in (2, 3, 4, 5):
@@ -122,6 +126,11 @@ class TestEnsembles:
     def test_bitflip_negative_weight(self):
         with pytest.raises(ValueError):
             build_bitflip_ensemble([1.1, -0.1, 0, 0], 3)
+
+    @pytest.mark.parametrize("bad", [True, False, "0.1", None])
+    def test_bitflip_weight_that_is_not_a_number_raises(self, bad):
+        with pytest.raises(ValueError, match="numbers"):
+            build_bitflip_ensemble([1, bad, 0, 0], 3)
 
     def test_werner_fidelity_formula(self):
         for n in (2, 3, 4, 5):
@@ -318,3 +327,21 @@ class TestFwht:
     def test_rejects_a_length_that_is_not_a_power_of_two(self, shape):
         with pytest.raises(ValueError, match="power of two"):
             fwht(np.ones(shape))
+
+
+class TestInputRules:
+    def test_numbers_take_numpy_scalars_and_refuse_bools_and_strings(self):
+        for x in (3, np.int8(3), np.uint64(3)):
+            assert is_integer(x) and is_real(x)
+        for x in (0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2), 2.0):
+            assert is_real(x) and not is_integer(x)
+        for x in (True, False, np.bool_(True), "1", b"1", None, 1j, [1], np.array(1)):
+            assert not is_integer(x) and not is_real(x)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 2, 4)])
+    def test_nonnegative_keeps_clean_weights_and_clears_round_off(self, shape):
+        W = np.full(shape, 0.125)
+        assert nonnegative(W) is W
+        W[..., 0, 1], W[..., 1, 2] = -0.0, -1e-11
+        out = nonnegative(W)
+        assert out is not W and not np.signbit(out).any() and (out[W > 0] == 0.125).all()

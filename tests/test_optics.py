@@ -91,6 +91,14 @@ class TestDiscriminate:
         with pytest.raises(ValueError):
             DiscriminationMode(ModeKind.EVEN_PLUS_ODD, theta=0.3)
 
+    def test_theta_must_be_a_number(self):
+        for kind in ModeKind:
+            for theta in (True, False, "3.14", None):
+                with pytest.raises(ValueError, match="theta"):
+                    DiscriminationMode(kind, 0.0, theta)
+        with pytest.raises(ValueError, match="theta"):
+            DiscriminationMode.even_only(theta=True)
+
     def test_deterministic_without_epsilon(self):
         mode = DiscriminationMode.even_only()
         for _ in range(10):
@@ -114,7 +122,7 @@ class TestDiscriminate:
     def test_epsilon_bounds(self):
         # six-mode PBS holds epsilon = 0, but only an epsilon in [0, 0.5)
         for kind in ModeKind:
-            for eps in (-0.1, 0.5, math.nan):
+            for eps in (-0.1, 0.5, math.nan, False, True, "0.1"):
                 with pytest.raises(ValueError, match="misclassification"):
                     DiscriminationMode(kind, eps)
 
