@@ -163,14 +163,18 @@ def ensemble_fidelity(ens: GhzDiagonalEnsemble) -> float:
 
 
 def _fractions(name: str, value) -> np.ndarray:
-    """value as a float array (0-d or 1-D) after checking it lies in [0, 1]."""
-    value = np.asarray(value, dtype=float)
-    if value.ndim > 1:
-        raise ValueError(f"{name} must be a number or a 1-D array, got shape {value.shape}")
-    for v in value.reshape(-1).tolist():
+    """value, a number or a 1-D sequence or array of numbers, as a float
+    array (0-d or 1-D) after checking each value is a number in [0, 1]."""
+    # objects, so that a bool or a string is checked before float() takes it
+    values = np.asarray(value, dtype=object)
+    if values.ndim > 1:
+        raise ValueError(f"{name} must be a number or a 1-D array, got shape {values.shape}")
+    for v in values.reshape(-1).tolist():
+        if not is_real(v):
+            raise ValueError(f"{name} must be a number, got {v!r}")
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {v}")
-    return value
+    return values.astype(float)
 
 
 def binary_weights(F, error_label: GhzLabel, n: int) -> np.ndarray:

@@ -234,11 +234,22 @@ class TestStackedWeights:
             for row, v in zip(stacked, values):
                 assert row.tobytes() == single(v).W.tobytes()
 
-    def test_builders_reject_a_value_out_of_range_with_the_single_message(self):
-        with pytest.raises(ValueError, match=r"x must be in \[0, 1\], got 1.5"):
-            werner_weights([0.5, 1.5, 0.7], 3)
-        with pytest.raises(ValueError, match=r"F must be in \[0, 1\], got nan"):
-            binary_weights([0.5, np.nan], GhzLabel("011", +1), 3)
+    # A bool or a string is not a number, though float() takes it.
+    @pytest.mark.parametrize("build, message", [
+        (lambda: werner_weights([0.5, 1.5, 0.7], 3), r"x must be in \[0, 1\], got 1.5"),
+        (lambda: binary_weights([0.5, np.nan], GhzLabel("011", +1), 3),
+         r"F must be in \[0, 1\], got nan"),
+        (lambda: build_werner(True, 3), "x must be a number, got True"),
+        (lambda: build_werner("0.5", 3), "x must be a number, got '0.5'"),
+        (lambda: werner_weights(["0.5", True], 2), "x must be a number, got '0.5'"),
+        (lambda: werner_weights([0.5, True], 2), "x must be a number, got True"),
+        (lambda: binary_weights(True, canonical_label("100", 1), 3),
+         "F must be a number, got True"),
+    ], ids=["x-above-1", "F-nan", "x-bool", "x-string", "x-list-of-string-and-bool",
+            "x-list-with-bool", "F-bool"])
+    def test_builders_reject_a_bad_value_with_one_message(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_density_of_a_stack_is_the_stack_of_densities(self):
         rho = ensemble_to_density(werner_weights(np.array([0.2, 0.9]), 3))

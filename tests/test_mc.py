@@ -12,7 +12,7 @@ from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel,
                            build_binary_ensemble, build_werner,
                            ensemble_fidelity, random_ghz_diagonal,
                            target_label)
-from ghzpurify.mc import BLOCK, _label_reader, mc_sample_step
+from ghzpurify.mc import BLOCK, _guide_bits, _label_reader, mc_sample_step
 from ghzpurify.optics import DiscriminationMode, ModeKind
 from ghzpurify.purify import StepKind, apply_step
 
@@ -210,37 +210,40 @@ def kept_chance(n, mode):
 
 def reference_sample_step(ens, step, mode, trials, seed):
     """The per-trial sampler that mc_sample_step must match draw for draw:
-    on one generator, block by block of BLOCK trials, one rng.choice per
-    copy, each copy's support string as an explicit computational string,
-    and one rng.random() per trial against the chance K[z] that its true
-    pattern z reads as a kept verdict.
+    on one generator, block by block of BLOCK trials, one rng.choice over
+    the label pairs (i, j), index i * S + j with weight p_i * p_j; one
+    rng.integers per trial for the XOR of the two copies' support draws,
+    read as copy 1's draw with copy 2's taken as 0, each copy's support
+    string an explicit computational string; and one rng.random() per trial
+    against the chance K[z] that its true pattern z reads as a kept verdict.
     Returns (W, keep, branch_stats), or the ValueError message."""
     n = ens.n_qubits
     full = (1 << n) - 1
     rng = np.random.default_rng(seed)
     flat = ens.W.T.ravel()
     support = np.flatnonzero(flat)
+    probs = flat[support]
     reps = support >> 1
     signs = 1 - 2 * (support & 1)
     K = kept_chance(n, mode)
+    k = 1 if step is StepKind.P1 else n - 1
 
-    def support_samples(r, s):
+    def support_samples(r, s, draw):
         if step is StepKind.P1:
-            flip = rng.integers(0, 2, size=len(r), dtype=np.int64)
-            return np.where(flip == 1, r ^ full, r)
+            return np.where(draw == 1, r ^ full, r)
         half = np.arange(1 << (n - 1), dtype=np.int64)
         parity = np.zeros_like(half)
         for b in range(n - 1):
             parity ^= (half >> b) & 1
         even_strings = (half << 1) | parity
-        idx = rng.integers(0, 1 << (n - 1), size=len(r))
-        return np.where(s == 1, even_strings[idx], even_strings[idx] ^ 1)
+        return np.where(s == 1, even_strings[draw], even_strings[draw] ^ 1)
 
     def block(m):
-        i1 = rng.choice(len(support), size=m, p=flat[support])
-        i2 = rng.choice(len(support), size=m, p=flat[support])
-        x = support_samples(reps[i1], signs[i1])
-        y = support_samples(reps[i2], signs[i2])
+        i1, i2 = np.divmod(rng.choice(len(support) ** 2, size=m,
+                                      p=np.outer(probs, probs).ravel()), len(support))
+        draw = rng.integers(0, 1 << k, size=m)
+        x = support_samples(reps[i1], signs[i1], draw)
+        y = support_samples(reps[i2], signs[i2], np.zeros_like(draw))
         z = x ^ y
         if ((K > 0.0) & (K < 1.0)).any():
             return i1, i2, z, rng.random(m) < K[z]
@@ -310,8 +313,8 @@ class TestBitIdenticalToTheReferenceSampler:
             ens = random_ghz_diagonal(n, np.random.default_rng(100 + k))
             assert_matches_reference(ens, step, DiscriminationMode(kind, eps), 200_000, k)
 
-    # Odd counts over several blocks: the last block is short and odd, so
-    # copy 2's support draws start mid-word.
+    # Odd counts over several blocks: the last block is short and odd, so it
+    # leaves the high half of its last support word unread.
     @pytest.mark.parametrize("trials", [2 * BLOCK + 1, 3 * BLOCK - 1])
     @pytest.mark.parametrize("step", [StepKind.P1, StepKind.P2])
     @pytest.mark.parametrize("n", [3, 6])
@@ -389,8 +392,9 @@ class TestEnumeratedLaw:
 
 class TestConstantMemory:
     def test_a_million_trials_trace_under_1_mib(self):
-        # One pass over all trials traced 67.7 MiB here; blocks take about
-        # 0.39 MiB, each array of a block below glibc's 128 KiB mmap threshold.
+        # One pass over all trials traced 67.7 MiB here; blocks and the pair
+        # table take about 0.46 MiB, each array below glibc's 128 KiB mmap
+        # threshold.
         ens = random_ghz_diagonal(6, np.random.default_rng(0))
         mode = DiscriminationMode.even_plus_odd(epsilon=0.2)
         tracemalloc.start()
@@ -440,17 +444,32 @@ class TestGeneratorWordStream:
         assert np.array_equal(rng.random(m), (bits.random_raw(m) >> 11) * 2.0 ** -53)
 
     @pytest.mark.parametrize("seed, m", CASES)
-    def test_the_guide_bucket_is_the_top_12_bits(self, seed, m):
+    @pytest.mark.parametrize("guide", [12, 13, 14, 15])
+    def test_the_guide_bucket_is_the_top_bits(self, seed, m, guide):
         rng, bits = self.streams(seed)
-        assert np.array_equal(np.floor(rng.random(m) * 4096), bits.random_raw(m) >> 52)
+        assert np.array_equal(np.floor(rng.random(m) * 2.0 ** guide),
+                              bits.random_raw(m) >> (64 - guide))
+
+    @pytest.mark.parametrize("seed, m", CASES)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_a_power_of_two_draw_is_the_top_bits_of_one_half_a_trial(self, seed, m, k):
+        # m draws read ceil(m / 2) words, low half first
+        rng, bits = self.streams(seed)
+        halves = bits.random_raw((m + 1) // 2).astype("<u8").view("<u4")[:m]
+        assert np.array_equal(rng.integers(0, 2 ** k, size=m), halves >> (32 - k))
 
     @pytest.mark.parametrize("seed, m", CASES)
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_two_power_of_two_draws_are_the_top_bits_of_the_halves(self, seed, m, k):
+        # The next call starts at the half that an odd m left unread, which
+        # is why mc's blocks, all but a call's last, hold an even count.
         rng, bits = self.streams(seed)
         want = np.concatenate([rng.integers(0, 2 ** k, size=m) for _ in range(2)])
         halves = bits.random_raw(m).astype("<u8").view("<u4")
         assert np.array_equal(want, halves >> (32 - k))
+
+    def test_block_is_even(self):
+        assert BLOCK % 2 == 0
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k", [0, 1, 2_003, BLOCK])
@@ -474,7 +493,24 @@ class TestGeneratorWordStream:
         assert np.array_equal(rng.random(4_096) < keep, bits.random_raw(4_096) >> 11 < below)
 
 
+def pair_tables():
+    """(n, S, alpha) for each guide size that S^2 label pairs give at each
+    n = 2..6, with the largest such S, and Dirichlet(alpha) label weights:
+    alpha = 1 spreads them, alpha = 0.05 crowds many CDF points into a
+    bucket."""
+    for n in range(2, 7):
+        largest = {_guide_bits(s * s): s for s in range(1, (1 << n) + 1)}
+        for s in sorted(largest.values()):
+            for alpha in (1.0, 0.05):
+                yield n, s, alpha
+
+
 class TestLabelDraw:
+    """The guide-table reader against Generator.choice: over plain label
+    lists, and over the S^2 label pairs (i, j) that mc draws with one choice,
+    weight p_i * p_j at index i * S + j, whose codes lie below 2^(2n) in the
+    narrowest dtype that holds 2^(2n)."""
+    PAIR_CASES = list(pair_tables())
     PROBS = ([1.0], [0.25, 0.25, 0.5], [1 / 64] * 64,
              [1e-300, 1 - 1e-12, 1e-12], [1 - 1e-12, 1e-300, 1e-12],
              *(np.random.default_rng(k).dirichlet(np.ones(k)) for k in (2, 5, 33, 64)))
@@ -491,9 +527,9 @@ class TestLabelDraw:
             got = _label_reader(support, probs)(words, np.empty(words.shape, np.intp))
             assert np.array_equal(got, want)
 
-    def test_full_uint8_support_never_returns_the_searched_marker(self):
+    def test_full_uint8_support_never_returns_a_tie_entry(self):
         # Codes 0..63 (n = 6) with most of the mass on the last: the low
-        # buckets all hold CDF points and are searched, marked by 255.
+        # buckets all hold CDF points, entries 64 + i for the first point i.
         probs = np.full(64, 1e-4)
         probs[-1] = 1.0 - probs[:-1].sum()
         support = np.arange(64, dtype=np.uint8)
@@ -504,5 +540,21 @@ class TestLabelDraw:
             got = _label_reader(support, probs)(words, np.empty(words.shape, np.intp))
             assert got.dtype == np.uint8
             assert np.array_equal(got, want)
-            assert not (got == np.iinfo(np.uint8).max).any()
+            assert not (got >= 64).any()
 
+    def test_the_pair_cases_cover_every_guide_size(self):
+        assert {_guide_bits(s * s) for _, s, _ in self.PAIR_CASES} == {12, 13, 14, 15}
+
+    @pytest.mark.parametrize("n, s, alpha", PAIR_CASES)
+    def test_matches_one_choice_over_the_pairs(self, n, s, alpha):
+        dtype = np.min_scalar_type(1 << 2 * n)
+        # the highest codes, so the tie entries reach the top of the range
+        codes = ((1 << 2 * n) - 1 - np.arange(s * s)).astype(dtype)
+        for seed in range(2):
+            probs = np.random.default_rng(seed).dirichlet(np.full(s, alpha))
+            pairs = np.outer(probs, probs).ravel()
+            want = codes[np.random.default_rng(seed).choice(s * s, 20_001, p=pairs)]
+            words = np.random.default_rng(seed).bit_generator.random_raw(20_001)
+            got = _label_reader(codes, pairs)(words, np.empty(words.shape, np.intp))
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
