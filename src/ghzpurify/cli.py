@@ -14,7 +14,6 @@ from pathlib import Path
 from .ghz import (MAX_QUBITS_EXACT, GhzDiagonalEnsemble, GhzLabel, build_binary_ensemble,
                   build_bitflip_ensemble, build_werner, canonical_label, is_real)
 from .optics import DiscriminationMode, ModeKind
-from .purify import check_ideal_readout
 from .schedule import ENGINES, Schedule, ScheduleTrace, engine_for, run_schedule, sweep
 from .validation import run_validation
 
@@ -131,7 +130,6 @@ def build_schedule(config: dict) -> Schedule:
                           f"[\"P1\", \"P2\"], got {config['schedule']!r}")
     try:
         mode = DiscriminationMode(config["mode"], _number(config["epsilon"]))
-        check_ideal_readout(mode)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"field 'mode'/'epsilon': {err}")
     stop = config["stop"]
@@ -222,7 +220,7 @@ def _common_flags(parser):
                         help="parity branches kept; at odd N, even-plus-odd's "
                         "P2 also keeps opposite-sign pairs, so a schedule with "
                         "P2 can plateau at F = 0.5")
-    parser.add_argument("--epsilon", type=float)
+    parser.add_argument("--epsilon", type=float, help="parity misread chance, in [0, 0.5)")
     parser.add_argument("--engine", choices=list(ENGINES))
     stop = parser.add_mutually_exclusive_group()
     stop.add_argument("--threshold", type=float)

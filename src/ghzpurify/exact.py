@@ -4,11 +4,11 @@ brute-force two-copy oracle (`bruteforce_step`) that validates them.
 Schur form.  Lay the two copies out as [copy-1 qubits, copy-2 qubits], so a
 two-copy index i encodes the pair of strings (x, y) = (i >> n, i & (2^n - 1));
 party k compares qubits (k, n + k).
-- Even parity on every party keeps y = x, so the kept entries of rho (x) rho
-  are rho[x, x'] rho[x, x'] at ((x, x), (x', x')): the Schur product rho∘rho.
-- The odd branch keeps y = ~x.  Its theta = pi recovery flips every copy-2
-  qubit, which moves ~x back onto x and leaves rho∘(P rho P), where P is the
-  complement permutation x -> ~x.  Even-plus-odd adds the two.
+- The parity pattern z keeps y = x xor z, whose entries rho[x, x'] *
+  rho[x xor z, x' xor z] form the Schur product rho∘(X^z rho X^z).  The
+  readout keeps z with K(z) = `mode.keep_weights(n)`, so the kept operator
+  is the sum over z of K(z) rho∘(X^z rho X^z): at epsilon = 0, rho∘rho, plus
+  rho∘(P rho P) under even-plus-odd (P: x -> ~x, the theta = pi recovery).
 - The keep probability is the trace of the kept operator.
 - Measuring copy 2 in the rotated basis with outcome m gives copy 1 the sign
   (-1)^(m.(x xor x')).  P1's correction (a phase flip when m has odd weight)
@@ -16,17 +16,18 @@ party k compares qubits (k, n + k).
   entry: the output is the kept operator masked to x' in {x, ~x}.
 - P2 runs the same core in the Hadamard frame r = H rho H.  Its correction
   cancels the sign for every x', so there is no mask, and the output is
-  H (r∘r) H.
+  H (kept r) H.
 Both steps hold O(4^n) memory.  P1 takes O(4^n) time; P2's frame changes
 are BLAS matrix products, O(8^n).
 
 Brute-force oracle.  `bruteforce_step` does the same operations on the full
-rho (x) rho (O(16^n)): parity projectors, the theta = pi recovery flip, the
-copy-2 measurement channel with a correction for every outcome, and the
-partial trace.  It uses none of the structure above, and looks up the
-correction table by this module's name `correction_for_outcome` when it
-runs, so validation checks the Schur form and the table against it (a test
-that corrupts the table patches `exact.correction_for_outcome`).
+rho (x) rho (O(16^n)): parity blocks weighted by per-party read chances of
+its own, the theta = pi recovery flip, the copy-2 measurement channel with a
+correction for every outcome, and the partial trace.  It uses none of the
+structure above, nor `keep_weights`, and looks up the correction table by
+this module's name `correction_for_outcome` when it runs, so validation checks
+the Schur form and the table against it (a test that corrupts the table
+patches `exact.correction_for_outcome`).
 
 Readout.  `ghz_diagonal_extract` reads a dense state back as GHZ weights.
 The GHZ basis lives on the diagonal and the anti-diagonal, which in a flat
@@ -43,7 +44,7 @@ import numpy as np
 
 from .ghz import MAX_QUBITS_EXACT, GhzDiagonalEnsemble, hadamard_matrix
 from .optics import DiscriminationMode, ModeKind
-from .purify import StepKind, check_ideal_readout, correction_for_outcome
+from .purify import StepKind, correction_for_outcome
 
 
 def num_qubits(rho: np.ndarray, stack: bool = False) -> int:
@@ -73,14 +74,25 @@ def _ghz_pairs(n: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=64)
+def _kept_patterns(mode: DiscriminationMode, n: int) -> tuple:
+    """(idx, K(z)) for each z that K = mode.keep_weights(n) keeps, rho[idx]
+    being X^z rho X^z: a view for z = 0 and ~0, which a gather slows."""
+    K, x, rev = mode.keep_weights(n), np.arange(1 << n), slice(None, None, -1)
+    views = {0: (...,), (1 << n) - 1: (..., rev, rev)}
+    return tuple((views.get(z, (..., x[:, None] ^ z, x ^ z)), float(K[z]))
+                 for z in np.flatnonzero(K).tolist())
+
+
 def _schur_kept(rho: np.ndarray, mode: DiscriminationMode
                 ) -> tuple[np.ndarray, PerRow, PerRow]:
-    """rho∘rho, plus rho∘(P rho P) for even-plus-odd; its trace capped at 1
+    """The sum over kept z of K(z) rho∘(X^z rho X^z); its trace capped at 1
     (the keep: a trace that rounds past 1 is still a probability), and the
     trace shaped to divide it."""
-    kept = rho * rho
-    if mode.kind is ModeKind.EVEN_PLUS_ODD:
-        kept += rho * rho[..., ::-1, ::-1]
+    kept = None
+    for idx, k in _kept_patterns(mode, rho.shape[-1].bit_length() - 1):
+        term = rho * rho[idx] if k == 1.0 else k * (rho * rho[idx])
+        kept = term if kept is None else np.add(kept, term, out=kept)
     if kept.ndim == 2:
         norm = float(kept.trace().real)
         return kept, min(norm, 1.0), norm
@@ -90,14 +102,12 @@ def _schur_kept(rho: np.ndarray, mode: DiscriminationMode
 
 def p1_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, PerRow]:
     """Bit-flip correction; returns (output, keep probability)."""
-    check_ideal_readout(mode)
     kept, keep, norm = _schur_kept(rho, mode)
     return np.where(_ghz_pairs(num_qubits(rho, stack=True)), kept, 0.0) / norm, keep
 
 
 def p2_exact(rho: np.ndarray, mode: DiscriminationMode) -> tuple[np.ndarray, PerRow]:
     """Phase-flip correction: the P1 core in the Hadamard frame, no mask."""
-    check_ideal_readout(mode)
     H = hadamard_matrix(num_qubits(rho, stack=True))
     kept, keep, norm = _schur_kept(H @ rho @ H, mode)
     return H @ kept @ H / norm, keep
@@ -191,12 +201,17 @@ def measure_copy2_and_correct(rho_pair: np.ndarray, step: StepKind) -> np.ndarra
 
 def _kept_pair_state(rho_pair: np.ndarray, mode: DiscriminationMode
                      ) -> tuple[np.ndarray, float]:
-    kept, keep = project_parity(rho_pair, "even")
-    if mode.kind is ModeKind.EVEN_PLUS_ODD:
-        odd, p_odd = project_parity(rho_pair, "odd")
-        kept += odd
-        keep += p_odd
-    return kept, keep
+    """The kept operator and its trace, each party misreading with epsilon."""
+    n = num_qubits(rho_pair) // 2
+    eps = mode.misclassification_probability
+    x = np.arange(1 << n)
+    q = np.where(x[:, None] >> np.arange(n) & 1, eps, 1.0 - eps).prod(axis=1)   # q(z): all even
+    pattern = np.bitwise_xor.outer(x, x).ravel()   # of each two-copy index (x, y)
+    block = pattern[:, None] == pattern   # both indices on one pattern
+    kept = np.where(block, q[pattern][:, None], 0.0) * rho_pair
+    if mode.kind is ModeKind.EVEN_PLUS_ODD:   # all odd with q(~z), after the flip
+        kept += _flip_copy2(np.where(block, q[::-1][pattern][:, None], 0.0) * rho_pair, n)
+    return kept, float(kept.trace().real)
 
 
 def bruteforce_step(rho: np.ndarray, step: StepKind | str, mode: DiscriminationMode
@@ -205,7 +220,6 @@ def bruteforce_step(rho: np.ndarray, step: StepKind | str, mode: DiscriminationM
 
     P2 runs the P1 operations in the Hadamard frame.  O(16^n): validation only.
     """
-    check_ideal_readout(mode)
     step = StepKind(step)
     H = hadamard_matrix(num_qubits(rho))
     if step is StepKind.P2:

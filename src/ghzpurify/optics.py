@@ -42,8 +42,8 @@ class KerrInteraction:
     theta: float
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= math.pi:
-            raise ValueError(f"theta must be in (0, pi], got {self.theta}")
+        if not (is_real(self.theta) and 0.0 < self.theta <= math.pi):
+            raise ValueError(f"theta must be in (0, pi], got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class ProbeBeam:
     def __post_init__(self):
         if abs(self.alpha) <= 0.0:
             raise ValueError("probe amplitude must be nonzero")
-        if not 0.0 <= self.accumulated_phase < TWO_PI:
+        if not (is_real(self.accumulated_phase) and 0.0 <= self.accumulated_phase < TWO_PI):
             raise ValueError("accumulated_phase must lie in [0, 2*pi)")
 
 
@@ -138,7 +138,9 @@ class DiscriminationMode:
         with probability epsilon, so z reads all even with probability
         q(z) = epsilon^|z| (1 - epsilon)^(n-|z|), taken as a product over the
         parties in order, and all odd with q(~z).  Even-only keeps K = q(z);
-        even-plus-odd keeps K = q(z) + q(~z), capped at 1 against round-off."""
+        even-plus-odd keeps K = q(z) + q(~z), capped at 1 against round-off.
+        The engines learn the mode only from K: `mc.mc_sample_step` samples it,
+        `purify.step_map` and `exact.exact_step` read it (not the oracle)."""
         eps = self.misclassification_probability
         bits = np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None] & 1
         q = np.ones(1 << n)

@@ -1,33 +1,36 @@
 """Purification steps P1 (bit-flip correction) and P2 (phase-flip correction)
-as closed-form maps on GHZ-diagonal ensembles.
+as closed-form maps on GHZ-diagonal ensembles.  They read the mode only as
+K(z) = `mode.keep_weights(n)`, the chance that a copy pair whose true parity
+pattern is z is kept.  Derivation (validated against the exact engine):
 
-Derivation of the closed forms (validated against the exact engine):
-
-P1.  A pair of copies labelled (e1, s1), (e2, s2) passes the all-even parity
-check iff e1 == e2, with probability 1/2; the surviving two-copy state is
-(|e e> + s1 s2 |~e ~e>)/sqrt(2).  Measuring copy 2 in the rotated basis and
-applying the parity-of-outcome phase correction leaves (e, s1*s2).  Under
-theta = pi the all-odd branch (probability 1/2, same pairs) is recovered by
-bit flips on copy 2 and gives the identical output, doubling the yield.
+P1.  Copies labelled (e1, s1), (e2, s2) collapse to e1 or ~e1 and e2 or ~e2,
+so the pattern is d = e1 xor e2 or ~d, and the pair is kept with
+Kr(d) = (K(d) + K(~d)) / 2; the kept state (|e1 e2> + s1 s2 |~e1 ~e2>)/sqrt(2),
+measured in the rotated basis with the parity-of-outcome phase correction,
+leaves (e1, s1*s2).  At epsilon = 0 only d = 0 is kept, with probability
+1/2, or 1 when theta = pi bit flips on copy 2 recover the all-odd branch.
 
 P2.  Both copies are rotated into the Hadamard frame, where the state with
 label (e, s) is spread uniformly over the 2^(n-1) strings of weight parity s
-with phases (-1)^(x.e).  The all-even check keeps pairs with s1 == s2 with
-probability 2^-(n-1) regardless of e1, e2; after the X-basis measurement of
+with phases (-1)^(x.e), so a pair's pattern is uniform over the strings of
+even weight when s1 == s2 and of odd weight when not: it is kept with
+a_same or a_opp, the mean of K over those.  After the X-basis measurement of
 copy 2 (outcome m), the phase-flip pattern m on copy 1, and the final
-Hadamard frame change, the kept copy carries the label (e1 xor e2, s).  The
-all-odd branch pairs signs with s1 == s2 * (-1)^n, so it doubles the yield
-only for even n; for odd n it admits opposite-sign pairs (output sign s1).
+Hadamard frame change, the kept copy carries the label (e1 xor e2, s1).  At
+epsilon = 0 even-plus-odd's all-odd pattern doubles a_same at even n, and
+at odd n admits the opposite-sign pairs, a_opp = a_same.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .ghz import GhzDiagonalEnsemble, fwht, nonnegative
-from .optics import DiscriminationMode, ModeKind
+from .optics import DiscriminationMode
 
 MIN_KEEP = 1e-300
 
@@ -66,14 +69,6 @@ def correction_for_outcome(step: StepKind, outcome: str) -> tuple[int, ...]:
     raise ValueError(f"unknown step kind {step!r}")
 
 
-def check_ideal_readout(mode: DiscriminationMode):
-    """The deterministic step maps, closed-form and dense, model an
-    error-free parity readout."""
-    if mode.misclassification_probability != 0.0:
-        raise ValueError("epsilon must be 0: the fast and exact engines model "
-                         "an ideal parity readout (mc_sample_step samples a noisy one)")
-
-
 def _finish(raw: np.ndarray, scale: float):
     """raw holds the kept mass of each output label divided by scale; it is
     normalised in place by the total that gives the keep probability, one
@@ -97,44 +92,52 @@ def _finish(raw: np.ndarray, scale: float):
     return nonnegative(raw), keep
 
 
+@lru_cache(maxsize=64)
+def _readout(mode: DiscriminationMode, n: int):
+    """(Kr[0], fwht(Kr) / 2^(n-1) or None if only d = 0 is kept, a_opp / a_same,
+    a_same / 2^(n-1)); fsum rounds the exact sum, so K(z) = K(~z) gives ratio 1."""
+    K = mode.keep_weights(n)
+    m = len(K) // 2
+    Kr = 0.5 * (K[:m] + K[:m - 1:-1])   # K[~d] = K[2^n - 1 - d]
+    odd = np.bitwise_count(np.arange(2 * m)) & 1 == 1
+    a_same, a_opp = math.fsum(K[~odd]) / m, math.fsum(K[odd]) / m
+    return float(Kr[0]), fwht(Kr) / m if Kr[1:].any() else None, a_opp / a_same, a_same / m
+
+
 def p1_map(W: np.ndarray, mode: DiscriminationMode):
     """Bit-flip correction on two independent copies of the weights W (of
-    every row of a stack): (W, mode) -> (W', keep)."""
-    check_ideal_readout(mode)
-    branches = 2 if mode.kind is ModeKind.EVEN_PLUS_ODD else 1
-    # Equal-rep pairs pass each kept branch with probability 1/2 and leave
-    # (e, s1*s2); the output does not depend on how many branches are kept.
+    every row of a stack): (W, mode) -> (W', keep).  With C = Kr ⊛ W over the
+    reps, sign + keeps W+ C+ + W- C- and sign - keeps W+ C- + W- C+."""
+    kr0, Kh, _, _ = _readout(mode, W.shape[-1].bit_length())
+    if Kh is not None:
+        C = fwht(Kh * fwht(W))
+        return _finish(W[..., :1, :] * C + W[..., 1:, :] * C[..., ::-1, :], 1.0)
+    # Only equal reps are kept: C = kr0 W, with kr0 as the scale.
     # One C-ordered buffer whatever the layout of W, filled in place:
     # (wp^2 + wm^2, (2 wp) wm), each rounded as the plain expression would be.
     raw = np.multiply(W, W, order="C")
     raw[..., 0, :] += raw[..., 1, :]
     np.multiply(W[..., 0, :], 2.0, out=raw[..., 1, :])
     raw[..., 1, :] *= W[..., 1, :]
-    return _finish(raw, 0.5 * branches)
+    return _finish(raw, kr0)
 
 
 def p2_map(W: np.ndarray, mode: DiscriminationMode):
     """Phase-flip correction via Hadamard-frame parity checking on the
     weights W (of every row of a stack): (W, mode) -> (W', keep).
 
-    A kept pair (probability 2^-(n-1)) leaves rep e1 xor e2, so the step is
-    one XOR convolution, the P2 map of Murao et al., PRA 57, R4075 (1998):
-    with F = fwht(W), each sign row s maps to fwht(F_s^2) / 2^(n-1).  Under
-    even-plus-odd at odd n the opposite-sign pairs pass too, each output row
-    carrying its copy-1 sign, so F_+ F_- joins both squares before the one
-    inverse transform.  Every step takes two transforms of a (..., 2, m)
-    block, whatever the stack height.
+    A kept pair leaves rep e1 xor e2, so the step is one XOR convolution,
+    the P2 map of Murao et al., PRA 57, R4075 (1998): with F = fwht(W), each
+    sign row s maps to fwht(a_same F_s^2 + a_opp F_+ F_-) / 2^(n-1).  Every
+    step takes two transforms of a (..., 2, m) block, whatever the stack
+    height.
     """
-    check_ideal_readout(mode)
-    n = W.shape[-1].bit_length()   # m = 2^(n-1)
-    both = mode.kind is ModeKind.EVEN_PLUS_ODD
+    _, _, ratio, scale = _readout(mode, W.shape[-1].bit_length())
     F = fwht(W)
     P = F * F
-    if both and n % 2 == 1:
-        P += F[..., :1, :] * F[..., 1:, :]
-    # for even n the all-odd branch mirrors the all-even one exactly
-    branches = 2 if both and n % 2 == 0 else 1
-    return _finish(fwht(P), branches * 2.0 ** -(2 * (n - 1)))
+    if ratio:
+        P += ratio * F[..., :1, :] * F[..., 1:, :]
+    return _finish(fwht(P), scale)
 
 
 def step_map(W: np.ndarray, step: StepKind | str, mode: DiscriminationMode):

@@ -125,6 +125,11 @@ def check_measurement_sign_patterns() -> CheckResult:
     return CheckResult("measurement_sign_patterns", worst < 1e-12, worst)
 
 
+# The equivalence checks' readouts, cycled by case: two cases check both ideal ones.
+MODES = (DiscriminationMode.even_only(), DiscriminationMode.even_plus_odd(),
+         DiscriminationMode.even_only(0.05), DiscriminationMode.even_plus_odd(0.2))
+
+
 def check_oracle_equivalence(n_max: int = 4, seed: int = 7,
                              cases: int = 50) -> CheckResult:
     """Fast-engine weights vs the dense engine's output on random ensembles.
@@ -137,12 +142,11 @@ def check_oracle_equivalence(n_max: int = 4, seed: int = 7,
     """
     rng = np.random.default_rng(seed)
     worst_diag = worst_keep = worst_res = 0.0
-    modes = (DiscriminationMode.even_only(), DiscriminationMode.even_plus_odd())
     for n in range(2, n_max + 1):
         for c in range(cases):
             ens = random_ghz_diagonal(n, rng)
             rho = ensemble_to_density(ens)
-            mode = modes[c % 2]
+            mode = MODES[c % len(MODES)]
             for step in (StepKind.P1, StepKind.P2):
                 W, fast_keep = step_map(ens.W, step, mode)
                 rho_out, keep = exact.exact_step(rho, step, mode)
@@ -163,8 +167,8 @@ def check_oracle_equivalence(n_max: int = 4, seed: int = 7,
 def check_dense_vs_bruteforce(n_max: int = 5, seed: int = 7,
                               cases: int = 2) -> CheckResult:
     """Schur-product steps vs the brute-force oracle on random complex
-    density matrices, which are not GHZ-diagonal: both steps, with and
-    without the odd branch.
+    density matrices, which are not GHZ-diagonal: both steps, even cases
+    under the ideal MODES, odd ones under the noisy ones.
 
     The Schur form needs no correction table; the oracle applies the
     table to every copy-2 outcome, looking up `exact.correction_for_outcome`
@@ -175,12 +179,11 @@ def check_dense_vs_bruteforce(n_max: int = 5, seed: int = 7,
     sees a table that is off by a flip on every qubit."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    modes = (DiscriminationMode.even_only(), DiscriminationMode.even_plus_odd())
     for n in range(2, min(n_max, MAX_QUBITS_EXACT) + 1):
-        for _ in range(cases):
+        for c in range(cases):
             rho = random_density(n, rng)
             for step in (StepKind.P1, StepKind.P2):
-                for mode in modes:
+                for mode in (MODES[:2], MODES[2:])[c % 2]:
                     dense, keep = exact.exact_step(rho, step, mode)
                     brute, brute_keep = exact.bruteforce_step(rho, step, mode)
                     worst = _worst(worst, float(np.abs(dense - brute).max()),

@@ -102,6 +102,23 @@ class TestRun:
         summary = json.loads((tmp_path / "a/summary.json").read_text())
         assert summary["config"]["epsilon"] == 0.2
 
+    def test_engines_agree_on_a_noisy_readout(self, tmp_path):
+        args = ["run", "--x", "0.8", "--n", "4", "--schedule", "P1,P2", "--rounds", "6",
+                "--mode", "even-plus-odd", "--epsilon", "0.05"]
+        for engine in ENGINES:
+            outdir = str(tmp_path / engine)
+            assert main(args + ["--engine", engine, "--outdir", outdir]) == EXIT_OK
+        fast, dense = (read_csv(tmp_path / engine / "trace.csv") for engine in ("fast", "exact"))
+        assert len(fast) == len(dense) == 8   # header, initial record, 6 rounds
+        for row, other in zip(fast[1:], dense[1:]):
+            assert row[:2] == other[:2]
+            assert [float(v) for v in row[2:]] == pytest.approx(
+                [float(v) for v in other[2:]], rel=0, abs=1e-12)
+        for engine in ENGINES:
+            assert main(["sweep", "--grid", "0.6:0.9:0.1", "--n", "4", "--threshold", "0.99",
+                         "--epsilon", "0.05", "--engine", engine,
+                         "--outdir", str(tmp_path / "sweep" / engine)]) == EXIT_OK
+
     def test_dense_fidelity_reads_at_most_one(self, tmp_path):
         # the dense P2 of the target rounds its corner entries past one
         code = main(["run", "--F", "0", "--n", "3", "--schedule", "P2", "--rounds", "3",
@@ -140,7 +157,7 @@ class TestConfigErrors:
         assert "n_qbits" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, config", [
-        (["run", "--epsilon", "0.1"], None),
+        (["run", "--epsilon", "0.5"], None),
         (["run"], {"stop": {"threshold": "0.9"}}),
         (["run"], {"stop": {"rounds": "2"}}),
         (["run", "--rounds", "1000000000"], None),
@@ -192,7 +209,7 @@ class TestConfigErrors:
                                  "error_sign": -1},
                      "schedule": ["P1"], "stop": {"rounds": 2},
                      "grid": {"param": "F", "values": [0.7]}}),
-        (["run", "--mode", "even-plus-odd", "--epsilon", "0.1"], None),
+        (["run", "--epsilon", "-0.1"], None),
         (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": "1x0"}}),
         (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": "1 1"}}),
         (["run"], {"initial": {"type": "binary", "F": 0.8, "error_rep": ""}}),

@@ -17,7 +17,10 @@ from ghzpurify.schedule import ENGINES
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()
 SIX_MODE = DiscriminationMode.six_mode_pbs()
-MODES = (EVEN_ONLY, EVEN_PLUS_ODD, SIX_MODE)
+# Readouts that misread a verdict with probability epsilon.
+NOISY_EVEN_ONLY = DiscriminationMode.even_only(0.05)
+NOISY_EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd(0.2)
+MODES = (EVEN_ONLY, EVEN_PLUS_ODD, SIX_MODE, NOISY_EVEN_ONLY, NOISY_EVEN_PLUS_ODD)
 
 # The agreement tolerances: a keep probability, and a weight read back
 # from an engine's state, as one engine reports them against another.
@@ -26,6 +29,8 @@ WEIGHT_TOL = 1e-9
 # `fidelity(state)` against the target weight that `readout` gives, and a
 # stepped target against the target (the dense P2 leaves round-off).
 FIDELITY_TOL = 1e-12
+# The doubling law at epsilon > 0, on keeps and read-back weights.
+DOUBLING_TOL = 1e-12
 
 EACH_ENGINE = pytest.mark.parametrize("name", list(ENGINES))
 EACH_STEP = pytest.mark.parametrize("step", list(StepKind), ids=lambda step: step.value)
@@ -103,17 +108,37 @@ def test_six_mode_equals_even_only_bit_for_bit(name, step, data):
     assert same_bits(six, one) and same_bits(six_keep, one_keep)
 
 
+def doubling_steps(n):
+    """P1 at every n; P2 at even n only, since at odd n its all-odd branch
+    pairs opposite signs (the one exemption of the doubling law)."""
+    return [StepKind.P1, StepKind.P2] if n % 2 == 0 else [StepKind.P1]
+
+
 @engine_property
 def test_even_plus_odd_doubles_the_keep_bit_for_bit(name, data):
-    """P1 at every n; P2 at even n only, since at odd n its all-odd branch
-    pairs opposite signs (the one exemption of the doubling law).  The
-    doubled keep is capped at one, as every keep is."""
+    """The doubled keep is capped at one, as every keep is."""
     eng, n, _, state = drawn(name, data)
-    for step in ([StepKind.P1, StepKind.P2] if n % 2 == 0 else [StepKind.P1]):
+    for step in doubling_steps(n):
         both, both_keep = eng.step(state, step, EVEN_PLUS_ODD)
         one, one_keep = eng.step(state, step, EVEN_ONLY)
         assert same_bits(both, one)
         assert same_bits(both_keep, np.minimum(2.0 * one_keep, 1.0))
+
+
+@engine_property
+def test_even_plus_odd_doubles_the_keep_at_any_epsilon(name, data):
+    """The law at epsilon > 0, where K(z) = q(z) + q(~z) doubles the
+    even-only chance of every pair; the steps sum in another order, so it
+    holds to round-off."""
+    eng, n, _, state = drawn(name, data)
+    eps = data.draw(st.sampled_from((0.05, 0.2, 0.45)))
+    for step in doubling_steps(n):
+        both, both_keep = eng.step(state, step, DiscriminationMode.even_plus_odd(eps))
+        one, one_keep = eng.step(state, step, DiscriminationMode.even_only(eps))
+        assert np.abs(both_keep - np.minimum(2.0 * one_keep, 1.0)).max() <= DOUBLING_TOL
+        for row_both, row_one in zip(both, one):
+            diff = eng.readout(n, row_both).W - eng.readout(n, row_one).W
+            assert np.abs(diff).max() <= DOUBLING_TOL
 
 
 @EACH_STEP
@@ -142,16 +167,12 @@ def test_a_step_by_name_runs_that_step(name, data):
 
 @EACH_STEP
 @EACH_ENGINE
-def test_noisy_readout_raises(name, step):
-    """Every entry models error-free parity readout, so a misclassification
-    probability is an error, not ignored.  Six-mode PBS reads no homodyne
-    verdict, so it runs at any epsilon as at epsilon = 0."""
+def test_six_mode_runs_at_any_epsilon_as_at_zero(name, step):
+    """Six-mode PBS reads no homodyne verdict, so it runs at any epsilon as
+    at epsilon = 0."""
     eng = ENGINES[name]
     n = eng.max_qubits
     state = eng.encode(np.full((2, 1 << (n - 1)), 1.0 / (1 << n)))
-    for kind in (ModeKind.EVEN_ONLY, ModeKind.EVEN_PLUS_ODD):
-        with pytest.raises(ValueError, match="epsilon"):
-            eng.step(state, step, DiscriminationMode(kind, 0.2))
     six, six_keep = eng.step(state, step, DiscriminationMode(ModeKind.SIX_MODE_PBS, 0.2))
     ideal, ideal_keep = eng.step(state, step, SIX_MODE)
     assert same_bits(six, ideal) and same_bits(six_keep, ideal_keep)

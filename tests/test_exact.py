@@ -153,8 +153,11 @@ class TestSchurAgainstBruteForce:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("step", [StepKind.P1, StepKind.P2])
-    @pytest.mark.parametrize("mode", [EVEN_ONLY, EVEN_PLUS_ODD],
-                             ids=["even-only", "even-plus-odd"])
+    @pytest.mark.parametrize("mode", [
+        EVEN_ONLY, EVEN_PLUS_ODD, DiscriminationMode.even_only(0.05),
+        DiscriminationMode.even_plus_odd(0.2), DiscriminationMode.even_plus_odd(0.45),
+    ], ids=["even-only", "even-plus-odd", "even-only-0.05", "even-plus-odd-0.2",
+            "even-plus-odd-0.45"])
     def test_step_matches_bruteforce(self, n, step, mode):
         rho = random_density(n, np.random.default_rng(50 + n))
         out, keep = exact.exact_step(rho, step, mode)
@@ -163,16 +166,13 @@ class TestSchurAgainstBruteForce:
         assert keep == pytest.approx(want_keep, abs=1e-12)
 
 
-class TestIdealReadout:
-    """The brute-force oracle models error-free parity readout, as the
-    engines do, so a misclassification probability is an error, not
-    ignored.  Six-mode PBS runs at any epsilon as at epsilon = 0."""
+class TestSixModeReadout:
+    """Six-mode PBS reads no homodyne verdict, so the brute-force oracle
+    runs it at any epsilon as at epsilon = 0."""
 
     @pytest.mark.parametrize("step", [StepKind.P1, StepKind.P2])
-    def test_epsilon_is_rejected(self, step):
+    def test_any_epsilon_runs_as_at_zero(self, step):
         rho = ensemble_to_density(build_werner(0.8, 3))
-        with pytest.raises(ValueError, match="epsilon"):
-            bruteforce_step(rho, step, DiscriminationMode.even_only(0.2))
         six, six_keep = bruteforce_step(rho, step, DiscriminationMode("six-mode-pbs", 0.2))
         want, want_keep = bruteforce_step(rho, step, DiscriminationMode.six_mode_pbs())
         assert six_keep == want_keep

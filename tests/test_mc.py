@@ -15,6 +15,7 @@ from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel,
 from ghzpurify.mc import BLOCK, _guide_bits, _label_reader, mc_sample_step
 from ghzpurify.optics import DiscriminationMode, ModeKind
 from ghzpurify.purify import StepKind, apply_step
+from ghz_helpers import enumerated_law, kept_chance
 
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()
@@ -189,25 +190,6 @@ class TestValidation:
         assert ensemble_fidelity(rep.output) == 1.0
 
 
-def kept_chance(n, mode):
-    """K[z] for each true parity pattern z, by its own per-party product:
-    the chance that every party reads even, each party (qubit k, the bit of
-    weight 2^(n-1-k)) misreading with probability epsilon, party 0 first;
-    under even-plus-odd, plus the chance that every party reads odd."""
-    full = (1 << n) - 1
-    eps = mode.misclassification_probability
-
-    def all_even(pattern):
-        p = 1.0
-        for k in range(n):
-            p *= eps if pattern >> (n - 1 - k) & 1 else 1.0 - eps
-        return p
-
-    both = mode.kind is ModeKind.EVEN_PLUS_ODD
-    return np.array([all_even(z) + (all_even(full ^ z) if both else 0.0)
-                     for z in range(full + 1)])
-
-
 def reference_sample_step(ens, step, mode, trials, seed):
     """The per-trial sampler that mc_sample_step must match draw for draw:
     on one generator, block by block of BLOCK trials, one rng.choice over
@@ -322,36 +304,6 @@ class TestBitIdenticalToTheReferenceSampler:
         for k, (kind, eps) in enumerate(itertools.product(ModeKind, (0.0, 0.2))):
             ens = random_ghz_diagonal(n, np.random.default_rng(200 + k))
             assert_matches_reference(ens, step, DiscriminationMode(kind, eps), trials, k)
-
-
-def enumerated_law(ens, step, mode):
-    """(keep, spurious share, output weights) of one step, summed over every
-    pair of labels and every pair of their support strings, with no
-    sampler: P1 collapses (e, s) to e or ~e, P2 to any of the 2^(n-1)
-    strings whose weight is odd just when s = -1, each equally likely.  A
-    pair of strings x, y is kept with K[x ^ y] and leaves (e1, s1 s2) under
-    P1, (e1 xor e2, s1) under P2; it is a spurious keep when x ^ y is
-    neither all even nor all odd."""
-    n = ens.n_qubits
-    full = (1 << n) - 1
-    flat = ens.W.T.ravel()   # flat[rep * 2 + (sign == -1)]
-    K = kept_chance(n, mode)
-
-    def strings(code):
-        if step is StepKind.P1:
-            return [code >> 1, (code >> 1) ^ full]
-        return [x for x in range(full + 1) if x.bit_count() % 2 == code & 1]
-
-    weights = np.zeros(full + 1)
-    spurious = 0.0
-    for c1, c2 in itertools.product(range(full + 1), repeat=2):
-        z = np.bitwise_xor.outer(strings(c1), strings(c2))
-        pair = flat[c1] * flat[c2]
-        out = c1 ^ (c2 & 1) if step is StepKind.P1 else c1 ^ (c2 & (full ^ 1))
-        weights[out] += pair * K[z].mean()
-        spurious += pair * np.where((z == 0) | (z == full), 0.0, K[z]).mean()
-    keep = weights.sum()
-    return keep, spurious, weights / keep
 
 
 LAW_NS = (2, 3, 4)

@@ -39,6 +39,13 @@ class TestKerr:
         with pytest.raises(ValueError):
             KerrInteraction(3.5)
 
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, math.nan])
+    def test_theta_and_phase_must_be_numbers(self, value):
+        with pytest.raises(ValueError, match="theta"):
+            KerrInteraction(value)
+        with pytest.raises(ValueError, match="accumulated_phase"):
+            ProbeBeam(1.0, value)
+
 
 class TestShiftTable:
     @pytest.mark.parametrize("pair,expected", [

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from ghzpurify.ghz import (GhzDiagonalEnsemble, GhzLabel,
                            build_binary_ensemble, build_bitflip_ensemble,
-                           build_werner, ensemble_fidelity, fwht, target_label,
-                           werner_weights)
+                           build_werner, ensemble_fidelity, fwht, random_ghz_diagonal,
+                           target_label, werner_weights)
 from ghzpurify.optics import DiscriminationMode, ModeKind
 from ghzpurify.purify import (StepKind, _finish, apply_step,
                               correction_for_outcome, p1_map, p1_step, p2_map,
                               p2_step, step_map)
-from ghz_helpers import rational_step, rational_weights
+from ghz_helpers import enumerated_law, rational_step, rational_weights
 
 EVEN_ONLY = DiscriminationMode.even_only()
 EVEN_PLUS_ODD = DiscriminationMode.even_plus_odd()
@@ -258,6 +258,37 @@ class TestBitIdentity:
                 assert rep.keep_probability == keep
                 # C order, so the next step sums in the reference's order
                 assert rep.output.W.flags.c_contiguous
+
+
+class TestNoisyReadout:
+    """The step maps at epsilon > 0 against the law enumerated over every
+    pair of labels and of their support strings, which reads K from its
+    own per-party product."""
+
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.49])
+    @pytest.mark.parametrize("kind", list(ModeKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("step", list(StepKind), ids=lambda step: step.value)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_step_map_follows_the_enumerated_law(self, n, step, kind, eps):
+        ens = random_ghz_diagonal(n, np.random.default_rng(400 + n))
+        mode = DiscriminationMode(kind, eps)
+        W, keep = step_map(ens.W, step, mode)
+        want_keep, _, want = enumerated_law(ens, step, mode)
+        assert abs(keep - want_keep) <= 1e-12
+        assert np.abs(W.T.ravel() - want).max() <= 1e-12
+
+    @settings(max_examples=100)
+    @given(n=st.sampled_from([3, 5]), seed=st.integers(0, 2 ** 32 - 1),
+           eps=st.floats(0.0, 0.5, exclude_max=True))
+    def test_odd_n_even_plus_odd_p2_does_not_depend_on_epsilon(self, n, seed, eps):
+        # at odd n the all-odd read of z is the all-even read of ~z, of the
+        # other weight parity: every pair is kept with 2^-(n-1), whatever
+        # epsilon is
+        W0 = random_ghz_diagonal(n, np.random.default_rng(seed)).W
+        W, keep = p2_map(W0, DiscriminationMode.even_plus_odd(eps))
+        ideal, ideal_keep = p2_map(W0, EVEN_PLUS_ODD)
+        assert W.tobytes() == ideal.tobytes()
+        assert abs(keep - ideal_keep) <= 1e-12
 
 
 class TestStackedSteps:

@@ -23,12 +23,13 @@ def reference_oracle_equivalence(n_max, seed, cases):
     reported deviation is the largest of the three."""
     rng = np.random.default_rng(seed)
     worst_diag = worst_keep = worst_res = 0.0
-    modes = (DiscriminationMode.even_only(), DiscriminationMode.even_plus_odd())
+    modes = (DiscriminationMode.even_only(), DiscriminationMode.even_plus_odd(),
+             DiscriminationMode.even_only(0.05), DiscriminationMode.even_plus_odd(0.2))
     for n in range(2, n_max + 1):
         for c in range(cases):
             ens = random_ghz_diagonal(n, rng)
             rho = ensemble_to_density(ens)
-            mode = modes[c % 2]
+            mode = modes[c % 4]
             for step in (StepKind.P1, StepKind.P2):
                 fast = apply_step(ens, step, mode)
                 rho_out, keep = exact.exact_step(rho, step, mode)
