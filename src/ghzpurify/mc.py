@@ -6,48 +6,44 @@ support string).  The true parity pattern z = x xor y has one bit per
 party, set when that party's check is odd.  Homodyne misclassification flips
 each party's verdict with probability epsilon, so the trial is kept with the
 chance K(z) of `DiscriminationMode.keep_weights`: that z reads all even, or
-all odd under even-plus-odd.  One uniform per trial decides it: kept just
-when rng.random() < K(z).  At epsilon = 0 every K is 0 or 1, and the verdict
-is read off z with nothing drawn.
+all odd under even-plus-odd.
 
 The two copies are independent, so a pair is one draw from W x W: the S^2
 pairs of the S nonzero labels, pair (i, j) at index i * S + j with weight
 p_i * p_j.  And the copies' support draws enter z only through their XOR,
-itself one uniform k-bit draw: k = 1 under P1 (e or ~e), k = n - 1 under
-P2.  So a trial draws one pair and one k-bit integer d.  A pair code holds
-the pair's output label in its low n bits and, above them, its share of z
-shifted up by k bits; the trial's index (code >> n) | d names z one to one,
-so keep chances are looked up by index, not by z.  Pair codes lie below
-2^(2n), in the narrowest unsigned dtype that holds 2^(2n): uint8 up to
-n = 3, uint16 from n = 4 on.
+itself one uniform k-bit draw d: k = 1 under P1 (e or ~e), k = n - 1 under
+P2.  A pair code holds the pair's output label in its high n bits and its
+share of z, shifted up by k bits, in its low n bits; code | d is the
+trial's bin, its output label over the index (share << k) | d, which names
+z one to one.  Pair codes lie below 2^(2n), in the narrowest unsigned dtype
+that holds 2^(2n): uint8 up to n = 3, uint16 from n = 4 on.
 
-The draws are fixed in kind and order, so a seed fixes the output.  They are
-read in order from one generator, default_rng(seed)'s PCG64, block by block
-of BLOCK trials.  A block of m trials reads its next words: m for the pairs,
-as Generator.choice draws them; ceil(m / 2) support words, one 32-bit half
-per trial, low half first; and m verdict words, only where epsilon > 0:
-m + ceil(m / 2) words, or 2m + ceil(m / 2).  Those are the draws that
-Generator.choice, Generator.integers and Generator.random would make, called
-in that order for each block, as they turn raw words into values: a double
-is a word's top 53 bits over 2^53, integers(0, 2^k) is the top k bits of
-one 32-bit half (Lemire's method never rejects a power-of-two range), and
-random() < K reads word >> 11 < ceil(K * 2^53).  Generator.integers keeps
-the unused high half of an odd count for its next call, so BLOCK is even:
-only a call's last block may leave a half unread.
+A trial's verdict depends only on its z: it is a Bernoulli(K(z)) coin.  So
+the trials are counted per bin, and each bin's kept count is one binomial
+draw over its count, which has the law of one coin per trial.  At
+epsilon = 0 every K is 0 or 1, and binomial(c, 0) = 0, binomial(c, 1) = c.
+The spurious keeps are those of the bins whose z is neither all even nor
+all odd.
 
-A call of at most BLOCK trials is one block: it reads the words of one pass
-over all its trials.  A longer call gives another sample of the same law,
-so a sample depends on BLOCK: retuning it changes which sample a seed
-gives, not its law.  BLOCK keeps every array of a block, 8 bytes a trial at
-most, below glibc's default 128 KiB mmap threshold, and a block frees its
-support words before it draws its verdict words: at 2^15 trials the 256 KiB
-word arrays were mapped and unmapped, or the heap grown and trimmed, every
-block, at one minor page fault per 4 KiB page.  The pair table and the
-arrays that build it stay below that threshold too: at most 2^15 uint16
-guide entries (64 KiB) and 4096 pairs (32 KiB a float array).  Memory is
-O(BLOCK) whatever the trial count: one step at n = 6 and epsilon = 0.2
-traces 0.46 MiB at 10^6 trials and at 10^7 (68 MiB and 677 MiB in one
-pass), and takes 0.018 s and 0.16 s on a shared 2-core x86 machine.
+The draws are fixed in kind and order, so a seed fixes the output.  They
+are read in order from one generator, default_rng(seed)'s PCG64: one raw
+64-bit word per trial, then Generator.binomial(tally, K[:, None]) over the
+bins' counts in C order over (z, output label).  A trial's word gives both
+of its draws.  Its top 53 bits are the uniform (word >> 11) * 2^-53 from
+which Generator.choice would draw its pair, and its low k bits, below the
+11 that choice drops (k <= 5 at n <= 6), are d.  The trials are read block
+by block of BLOCK, and the tally is of integers, so a sample does not
+depend on BLOCK.
+
+BLOCK keeps every array of a block, 8 bytes a trial at most, below glibc's
+default 128 KiB mmap threshold: at 2^15 trials the 256 KiB word arrays were
+mapped and unmapped, or the heap grown and trimmed, every block, at one
+minor page fault per 4 KiB page.  The pair table, the arrays that build it
+and the tally stay below that threshold too: at most 2^15 uint16 guide
+entries (64 KiB), 4096 pairs (32 KiB a float array) and 4096 bins (32 KiB).
+Memory is O(BLOCK) whatever the trial count: one step at n = 6 and
+epsilon = 0.2 traces 0.53 MiB at 10^6 trials and at 10^7, and takes 0.011 s
+and 0.10 s on a shared 2-core x86 machine.
 """
 from __future__ import annotations
 
@@ -74,7 +70,8 @@ def _label_reader(support: np.ndarray, probs: np.ndarray):
     """The map from m raw words of the stream to m codes in support's dtype,
     draw for draw support[rng.choice(len(probs), m, p=probs)] when choice
     draws from those words: it turns them into the uniforms
-    u = (word >> 11) * 2^-53 and counts the CDF points at or below each.
+    u = (word >> 11) * 2^-53 and counts the CDF points at or below each, so
+    it reads only their top 53 bits.
 
     A guide table of 2^g buckets, g = _guide_bits(len(probs)), maps each
     word's top g bits, which are floor(u * 2^g), to its code where no CDF
@@ -139,20 +136,22 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     # None would seed from OS entropy, and a bool would run as seed 0 or 1.
     if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not isinstance(mode, DiscriminationMode):
+        raise ValueError(f"mode must be a DiscriminationMode, got {mode!r}")
     n = ens.n_qubits
     # the draws are checked against the reference sampler up to this bound
     if n > MAX_QUBITS_FAST:
         raise ValueError(f"Monte Carlo is bounded at {MAX_QUBITS_FAST} qubits")
     step = StepKind(step)
-    bits = np.random.default_rng(int(seed)).bit_generator
+    rng = np.random.default_rng(int(seed))
     full = (1 << n) - 1
     # bits of a trial's support draw d, the XOR of its two copies' draws
     k = 1 if step is StepKind.P1 else n - 1
 
-    # One intp index per trial, reused by every gather and by the tally.  It
-    # is allocated before the pair table is built: allocated after it, it
-    # left the heap top to be trimmed after some calls and grown again in
-    # the next, up to 80 minor page faults a call at n = 5 and 6.
+    # One intp index per trial, reused by every block's pair draw.  It is
+    # allocated before the pair table is built: allocated after it, it left
+    # the heap top to be trimmed after some calls and grown again in the
+    # next, up to 80 minor page faults a call at n = 5 and 6.
     index = np.empty(min(BLOCK, trials), np.intp)
 
     # Nonzero label codes c = rep * 2 + (sign == -1), in all_labels order.
@@ -160,21 +159,31 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     # and c1 ^ (c2 & ~1) under P2, (e1 xor e2, s1): the correction cancels the
     # sign that copy 2's outcome leaves, which is not drawn.  Its share of z
     # is the XOR of the reps (P1) or of the sign bits (P2).  Its pair code
-    # holds the output code in the low n bits and share << k above them.
+    # holds the output code above n bits and share << k in them.
     flat = ens.W.T.ravel()
     support = np.flatnonzero(flat)
     probs = flat[support]
     c2 = support.astype(np.min_scalar_type(1 << 2 * n))
     c1 = c2[:, None]
     if step is StepKind.P1:
-        codes = (c1 ^ c2) & (full ^ 1)   # share << 1
+        codes = c1 ^ (c2 & 1)
         codes <<= n
-        codes |= c1 ^ (c2 & 1)
+        codes |= (c1 ^ c2) & (full ^ 1)   # share << 1
     else:
-        codes = (c1 ^ c2) & 1
-        codes <<= 2 * n - 1   # share << (n - 1) above the output
-        codes |= c1 ^ (c2 & (full ^ 1))
+        codes = c1 ^ (c2 & (full ^ 1))
+        codes <<= n
+        codes |= ((c1 ^ c2) & 1) << (n - 1)   # share << (n - 1)
     pairs = _label_reader(codes.ravel(), np.outer(probs, probs).ravel())
+
+    # An integer tally, so its sum does not depend on the blocks.
+    tally = np.zeros(1 << 2 * n, np.int64)
+    for b in range(0, trials, BLOCK):
+        m = min(BLOCK, trials - b)
+        words = rng.bit_generator.random_raw(m)
+        code = pairs(words, index[:m])
+        words &= (1 << k) - 1   # d, in the bits that the pair draw drops
+        words |= code
+        tally += np.bincount(words.view(np.intp), minlength=1 << 2 * n)
 
     # The true pattern z of each index share << k | d: under P1, d = 1 flips
     # every party's bit (~e); under P2, the even string a << 1 | parity(a) is
@@ -185,67 +194,16 @@ def mc_sample_step(ens: GhzDiagonalEnsemble, step: StepKind | str,
     else:
         a = ix & (full >> 1)
         z = (ix >> k) ^ (a << 1 | np.bitwise_count(a) & 1)
-    keep = mode.keep_weights(n)[z]
-    # the indices of the all-even and the all-odd pattern
-    even, odd = np.flatnonzero(z == 0)[0], np.flatnonzero(z == full)[0]
-    noisy = mode.misclassification_probability > 0.0
-    if noisy:
-        # rng.random() < K reads (word >> 11) * 2^-53 < K; K * 2^53 is exact,
-        # and an integer lies below it just when it lies below its ceiling,
-        # at most 2^53.
-        below = np.ceil(keep * 2.0 ** 53).astype(np.uint64)
-    else:
-        kept = np.flatnonzero(keep).tolist()
+    by_z = np.empty((1 << n, 1 << n), np.int64)
+    by_z[z] = tally.reshape(1 << n, 1 << n).T   # rows z, columns the output label
+    kept = rng.binomial(by_z, mode.keep_weights(n)[:, None])
 
-    def block(m: int):
-        """The next m trials: the tally of their codes (the output label,
-        plus 2^n where rejected) and their spurious keeps.  Its arrays are
-        freed when it returns, before the next block draws."""
-        at = index[:m]
-        code = pairs(bits.random_raw(m), at)
-        # integers(0, 2^k) is the top k bits of one 32-bit half, low half
-        # first; an odd m leaves the last high half unread.
-        halves = bits.random_raw((m + 1) // 2).astype("<u8", copy=False).view("<u4")[:m]
-        halves >>= 32 - k
-        np.right_shift(code, n, out=at)
-        at |= halves
-        del halves   # freed before the verdict words are drawn
-        code &= full   # the output label
-
-        spurious = 0
-        if noisy:
-            # trials whose true pattern is all even or all odd; a kept trial
-            # with any other pattern is a spurious keep
-            plain = at == even
-            plain |= at == odd
-            # Each threshold K * 2^53 lands on the index it was read from:
-            # numpy buffers an `out` only under mode="raise".
-            limit = below.take(at, out=at.view(np.uint64), mode="clip")
-            u = bits.random_raw(m)
-            u >>= 11
-            rejected = u >= limit
-            plain |= rejected
-            spurious = m - int(np.count_nonzero(plain))
-        else:
-            rejected = at != kept[0]
-            for i in kept[1:]:
-                rejected &= at != i
-        np.bitwise_or(code, rejected.view(np.uint8) << n, out=at)
-        return np.bincount(at, minlength=2 << n), spurious
-
-    # Integer tallies, so their sums do not depend on the order of the blocks.
-    counts = np.zeros(2 << n, dtype=np.int64)
-    spurious_count = 0
-    for b in range(0, trials, BLOCK):
-        tally, spurious = block(min(BLOCK, trials - b))
-        counts += tally
-        spurious_count += spurious
-
-    counts = counts[:1 << n]
+    counts = kept.sum(axis=0)
     n_kept = int(counts.sum())
     if n_kept == 0:
         raise ValueError("no kept trials; increase trials")
     output = GhzDiagonalEnsemble(n, counts.reshape(-1, 2).T / n_kept)
-
-    stats = {("spurious", "*"): spurious_count / trials} if spurious_count else {}
+    # kept trials whose true pattern is neither all even nor all odd
+    spurious = n_kept - int(kept[0].sum()) - int(kept[full].sum())
+    stats = {("spurious", "*"): spurious / trials} if spurious else {}
     return StepReport(output, n_kept / trials, stats)

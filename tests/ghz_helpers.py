@@ -1,6 +1,7 @@
 """Dense-matrix, rational-arithmetic and enumerated-law helpers that only
 the tests use."""
 import itertools
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -53,44 +54,59 @@ def rational_weights(ens: GhzDiagonalEnsemble) -> dict[tuple[int, int], Fraction
 
 
 def rational_step(weights: dict, n: int, step: StepKind, mode):
-    """P1 or P2 one label pair at a time: (weights', keep), in the arithmetic
-    of the weights given, exact for Fractions and float for floats.
+    """P1 or P2 one label pair at a time, in exact arithmetic: (weights',
+    keep) as Fractions, from weights given as Fractions.
 
-    P1 keeps equal-rep pairs with probability 1/2 per kept branch and leaves
-    (e, s1 s2).  P2 keeps equal-sign pairs with probability 2^-(n-1) and
-    leaves (e1 xor e2, s1); under even-plus-odd the all-odd branch doubles
-    that at even n, and at odd n keeps the opposite-sign pairs instead, with
-    the same probability and output rule."""
-    both = mode.kind is ModeKind.EVEN_PLUS_ODD
-    out = defaultdict(Fraction)
-    for (e1, s1), w1 in weights.items():
-        for (e2, s2), w2 in weights.items():
+    A label pair is kept with the mean of K over the true patterns z = x ^ y
+    of its support strings x, y, K from `kept_chance` at the mode's epsilon
+    taken exactly, as Fraction(epsilon).  Under P1, (e, s) collapses to e or
+    ~e, so z is e1 xor e2 or its complement; under P2, to the strings whose
+    weight is odd just when s = -1, so z runs evenly over the patterns whose
+    weight is odd just when s1 != s2.  P1 leaves (e1, s1 s2), P2
+    (e1 xor e2, s1).  The pair sums run over integers: the weights over one
+    common denominator, the chances over another."""
+    full = (1 << n) - 1
+    K = kept_chance(n, mode, exact=True)
+    if step is StepKind.P1:
+        chance = [(K[d] + K[full ^ d]) / 2 for d in range(1 << (n - 1))]
+    else:
+        chance = [sum(K[z] for z in range(full + 1) if z.bit_count() % 2 == odd) / 2 ** (n - 1)
+                  for odd in (0, 1)]
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    chance_den = math.lcm(*(c.denominator for c in chance))
+    num = {label: int(w * den) for label, w in weights.items()}
+    chance = [int(c * chance_den) for c in chance]
+    out = defaultdict(int)
+    for (e1, s1), w1 in num.items():
+        for (e2, s2), w2 in num.items():
             if step is StepKind.P1:
-                if e1 == e2:
-                    out[e1, s1 * s2] += w1 * w2 / 2
-            elif s1 == s2 or (both and n % 2 == 1):
-                out[e1 ^ e2, s1] += w1 * w2 / 2 ** (n - 1)
+                out[e1, s1 * s2] += w1 * w2 * chance[e1 ^ e2]
+            else:
+                out[e1 ^ e2, s1] += w1 * w2 * chance[s1 != s2]
     total = sum(out.values())
-    branches = 2 if both and (step is StepKind.P1 or n % 2 == 0) else 1
-    return {label: w / total for label, w in out.items() if w}, branches * total
+    return ({label: Fraction(w, total) for label, w in out.items() if w},
+            Fraction(total, den * den * chance_den))
 
 
-def kept_chance(n, mode):
+def kept_chance(n, mode, exact=False):
     """K[z] for each true parity pattern z, by its own per-party product:
     the chance that every party reads even, each party (qubit k, the bit of
     weight 2^(n-1-k)) misreading with probability epsilon, party 0 first;
-    under even-plus-odd, plus the chance that every party reads odd."""
+    under even-plus-odd, plus the chance that every party reads odd.  In
+    floats, or in Fractions from Fraction(epsilon) when `exact`."""
     full = (1 << n) - 1
     eps = mode.misclassification_probability
+    if exact:
+        eps = Fraction(eps)
 
     def all_even(pattern):
-        p = 1.0
+        p = 1
         for k in range(n):
-            p *= eps if pattern >> (n - 1 - k) & 1 else 1.0 - eps
+            p *= eps if pattern >> (n - 1 - k) & 1 else 1 - eps
         return p
 
     both = mode.kind is ModeKind.EVEN_PLUS_ODD
-    return np.array([all_even(z) + (all_even(full ^ z) if both else 0.0)
+    return np.array([all_even(z) + (all_even(full ^ z) if both else 0)
                      for z in range(full + 1)])
 
 

@@ -44,8 +44,8 @@ def ensembles(draw, max_n=6, min_n=2):
 @SETTINGS
 @given(ensembles())
 def test_steps_match_the_pair_sum(ens):
-    # the label-pair rules of the rational tests, run on the float weights
-    weights = {label: float(w) for label, w in rational_weights(ens).items()}
+    # the label-pair rules of the rational tests, exact from the float weights
+    weights = rational_weights(ens)
     for step in StepKind:
         for mode in MODES:
             rep = apply_step(ens, step, mode)

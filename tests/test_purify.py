@@ -171,7 +171,10 @@ class TestAgainstRationalArithmetic:
     grows with N, so C does too: the largest seen up to N = 5 is 3.5 k 2^-52
     (the keep at round 3 of Werner N = 5, P1,P2 even-plus-odd), 9.3 k 2^-52
     at N = 6 (the same keep) and 4.3 k 2^-52 at N = 7 (the keep at round 6
-    of Werner, P2,P1 even-plus-odd)."""
+    of Werner, P2,P1 even-plus-odd).  At epsilon = 0.05 and 0.2 the exact
+    side takes epsilon as Fraction(epsilon), and the largest seen up to
+    N = 5 is 2.1 k 2^-52 (the keep at round 3 of Werner N = 5, P1,P2
+    even-plus-odd at epsilon = 0.05)."""
 
     @staticmethod
     def six_rounds_within(c, build, n, mode, schedule):
@@ -202,6 +205,16 @@ class TestAgainstRationalArithmetic:
     @INPUTS
     def test_six_rounds_within_c_k_ulps_beyond_n_5(self, build, n, mode, schedule):
         self.six_rounds_within(16, build, n, mode, schedule)
+
+    @SCHEDULES
+    @pytest.mark.parametrize("mode", [DiscriminationMode(kind, eps)
+                                      for kind in ("even-only", "even-plus-odd")
+                                      for eps in (0.05, 0.2)],
+                             ids=["even-0.05", "even-0.2", "both-0.05", "both-0.2"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @INPUTS
+    def test_six_rounds_within_c_k_ulps_at_epsilon(self, build, n, mode, schedule):
+        self.six_rounds_within(8, build, n, mode, schedule)
 
 
 def reference_step(ens, step, mode):
