@@ -82,6 +82,21 @@ class TestDeterminism:
         b = mc_sample_step(ens, StepKind.P1, EVEN_ONLY, 20_000, seed=6)
         assert a.keep_probability != b.keep_probability
 
+    # The tally is of integers and the words are read in turn, so the blocks
+    # only split the stream: short, odd, uneven and single blocks alike.
+    @pytest.mark.parametrize("block", [7, 1_000, 4_999, 10_000])
+    @pytest.mark.parametrize("step", list(StepKind), ids=lambda step: step.value)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_a_sample_does_not_depend_on_block(self, monkeypatch, n, step, block):
+        ens = random_ghz_diagonal(n, np.random.default_rng(400 + n))
+        mode = DiscriminationMode.even_plus_odd(epsilon=0.2)
+        want = mc_sample_step(ens, step, mode, 10_001, seed=n)
+        monkeypatch.setattr("ghzpurify.mc.BLOCK", block)
+        got = mc_sample_step(ens, step, mode, 10_001, seed=n)
+        assert got.keep_probability == want.keep_probability
+        assert np.array_equal(got.output.W, want.output.W)
+        assert got.branch_stats == want.branch_stats
+
 
 class TestStepByName:
     @pytest.mark.parametrize("step", ["P1", "P2"])
@@ -422,6 +437,19 @@ class TestGeneratorWordStream:
         rng, bits = self.streams(seed)
         assert np.array_equal(np.floor(rng.random(m) * 2.0 ** guide),
                               bits.random_raw(m) >> (64 - guide))
+
+    @pytest.mark.parametrize("seed, m", CASES)
+    @pytest.mark.parametrize("outcomes", [1, 2, 3, 33, 4_096])
+    def test_a_choice_reads_one_word_a_draw_and_only_its_top_53_bits(
+            self, seed, m, outcomes):
+        # so mc's m trials read m words, and the next block starts at word m
+        rng, bits = self.streams(seed)
+        probs = np.random.default_rng(outcomes).dirichlet(np.ones(outcomes))
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        want = cdf.searchsorted((bits.random_raw(m) >> 11) * 2.0 ** -53, side="right")
+        assert np.array_equal(rng.choice(outcomes, m, p=probs), want)
+        assert rng.bit_generator.random_raw() == bits.random_raw()
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k", [0, 1, 2_003, BLOCK])
